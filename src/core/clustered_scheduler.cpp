@@ -82,6 +82,7 @@ void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
     clusterOfCore_[static_cast<std::size_t>(c)] = static_cast<int>(
         static_cast<std::int64_t>(c) * clusterCount_ / coreCount);
   }
+  computeSpans();
   clusters_.clear();
   clusters_.reserve(static_cast<std::size_t>(clusterCount_));
   for (int k = 0; k < clusterCount_; ++k)
@@ -89,15 +90,33 @@ void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
   clusterSamples_.resize(static_cast<std::size_t>(clusterCount_));
 }
 
+void ClusteredDikeScheduler::computeSpans() {
+  // clusterOfCore_ is one non-empty contiguous run per cluster (built that
+  // way, and validated on restore), so a run's first core opens its span.
+  clusterBegin_.assign(static_cast<std::size_t>(clusterCount_) + 1,
+                       util::isize(clusterOfCore_));
+  for (int c = util::isize(clusterOfCore_) - 1; c >= 0; --c)
+    clusterBegin_[static_cast<std::size_t>(
+        clusterOfCore_[static_cast<std::size_t>(c)])] = c;
+}
+
 void ClusteredDikeScheduler::scatterSample(const sched::SchedulerView& view) {
   const sim::QuantumSample& sample = view.sample();
-  for (sim::QuantumSample& s : clusterSamples_) {
+  const std::size_t cores = sample.coreAchievedBw.size();
+  for (int k = 0; k < clusterCount_; ++k) {
+    sim::QuantumSample& s = clusterSamples_[static_cast<std::size_t>(k)];
     s.periodTicks = sample.periodTicks;
     s.threads.clear();
-    // Full-size bandwidth vector with foreign entries zeroed: the cluster
-    // observer indexes it by global core id, and its foreign-core guards
-    // never read the zeros into an estimate.
-    s.coreAchievedBw.assign(sample.coreAchievedBw.size(), 0.0);
+    // Full-size bandwidth vector, sized once: the cluster observer indexes
+    // it by global core id but reads only its own span, so the foreign
+    // entries keep the zeros they were sized with and each quantum copies
+    // just the span — every core is written exactly once.
+    if (s.coreAchievedBw.size() != cores) s.coreAchievedBw.assign(cores, 0.0);
+    const int begin = clusterBegin_[static_cast<std::size_t>(k)];
+    const int end = clusterBegin_[static_cast<std::size_t>(k) + 1];
+    std::copy(sample.coreAchievedBw.begin() + begin,
+              sample.coreAchievedBw.begin() + end,
+              s.coreAchievedBw.begin() + begin);
   }
   for (const sim::ThreadSample& t : sample.threads) {
     // Rows without a core (finished threads) are invisible to every
@@ -105,11 +124,6 @@ void ClusteredDikeScheduler::scatterSample(const sched::SchedulerView& view) {
     if (t.coreId < 0) continue;
     const int k = clusterOfCore_[static_cast<std::size_t>(t.coreId)];
     clusterSamples_[static_cast<std::size_t>(k)].threads.push_back(t);
-  }
-  for (std::size_t c = 0; c < sample.coreAchievedBw.size(); ++c) {
-    const int k = clusterOfCore_[c];
-    clusterSamples_[static_cast<std::size_t>(k)].coreAchievedBw[c] =
-        sample.coreAchievedBw[c];
   }
 }
 
@@ -124,6 +138,14 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
 
   DIKE_SCOPE_TIMER("core.dike.clustered_quantum");
   if (clusters_.empty()) resolveGeometry(view.coreCount());
+  // Spans index the sample and the view by global core id; a geometry
+  // restored from another machine's checkpoint would read out of range.
+  if (util::isize(clusterOfCore_) != view.coreCount() ||
+      util::isize(view.sample().coreAchievedBw) != view.coreCount())
+    throw std::runtime_error{
+        "clustered scheduler: cluster geometry covers " +
+        std::to_string(clusterOfCore_.size()) + " cores but the machine has " +
+        std::to_string(view.coreCount())};
 
   const auto scatterStart = Clock::now();
   scatterSample(view);
@@ -139,8 +161,10 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
     DikeScheduler& sub = *clusters_[static_cast<std::size_t>(k)];
     sub.setFaultsActiveHint(faultsActiveHint());
     sub.setDecisionTrace(decisionTrace());
-    childViews_.emplace_back(
-        view, clusterSamples_[static_cast<std::size_t>(k)], clusterOfCore_, k);
+    childViews_.emplace_back(view,
+                             clusterSamples_[static_cast<std::size_t>(k)],
+                             clusterBegin_[static_cast<std::size_t>(k)],
+                             clusterBegin_[static_cast<std::size_t>(k) + 1]);
   }
   planNs_.assign(static_cast<std::size_t>(clusterCount_), 0);
   commitNs_.assign(static_cast<std::size_t>(clusterCount_), 0);
@@ -246,7 +270,9 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
             });
 
   int moved = 0;
-  int freeScan = 0;  // resume point into the recipient's core range
+  // Resume point into the recipient's core span.
+  int freeScan = clusterBegin_[static_cast<std::size_t>(best)];
+  const int recipientEnd = clusterBegin_[static_cast<std::size_t>(best) + 1];
   std::size_t surplusIdx = 0;
   const std::vector<ThreadInfo>& recipientThreads =
       recipient.threadsByAccessRate();
@@ -262,8 +288,7 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
     if (moved >= config_.cluster.rebalanceBudget) break;
     // Free core in the recipient cluster?
     int dest = -1;
-    for (; freeScan < view.coreCount(); ++freeScan) {
-      if (clusterOfCore_[static_cast<std::size_t>(freeScan)] != best) continue;
+    for (; freeScan < recipientEnd; ++freeScan) {
       if (view.coreOccupant(freeScan) == -1) {
         dest = freeScan++;
         break;
@@ -365,13 +390,25 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
       r.i64("imbalanceStreak"), "clustered checkpoint: imbalanceStreak");
   const std::int64_t moves = r.i64("rebalanceMoves");
   r.endSection();
-  if (count < 0 || (count == 0 && !clusterOfCore.empty()))
+  if (count < 0 || (count == 0) != clusterOfCore.empty())
     throw ckpt::CheckpointError{
         "clustered checkpoint: inconsistent cluster geometry"};
-  for (const int k : clusterOfCore)
-    if (k < 0 || k >= std::max(count, 1))
+  // resolveGeometry only ever builds clusters 0..count-1 as ascending,
+  // contiguous, non-empty runs of cores: the map starts at 0, steps by 0
+  // or 1, and ends at count-1. Any other map is a corrupt file (and the
+  // per-cluster core spans are exact only for this shape).
+  for (std::size_t c = 0; c < clusterOfCore.size(); ++c) {
+    const int expected = c == 0 ? 0 : clusterOfCore[c - 1];
+    const int k = clusterOfCore[c];
+    if (k != expected && (c == 0 || k != expected + 1))
       throw ckpt::CheckpointError{
-          "clustered checkpoint: clusterOfCore entry out of range"};
+          "clustered checkpoint: clusterOfCore is not one contiguous run per "
+          "cluster in ascending order"};
+  }
+  if (!clusterOfCore.empty() && clusterOfCore.back() != count - 1)
+    throw ckpt::CheckpointError{
+        "clustered checkpoint: clusterOfCore does not cover clusters 0.." +
+        std::to_string(count - 1)};
 
   // Rebuild the per-cluster instances from the serialized geometry, then
   // restore each one; a schema failure inside cluster j leaves this object
@@ -379,6 +416,7 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
   // scheduler restore anyway (Scheduler::loadState propagates).
   clusterCount_ = count;
   clusterOfCore_ = std::move(clusterOfCore);
+  computeSpans();
   quantaSinceRebalance_ = quantaSince;
   imbalanceStreak_ = streak;
   rebalanceMoves_ = moves;

@@ -100,6 +100,8 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   }
   [[nodiscard]] DikeConfig clusterConfig() const;
   void resolveGeometry(int coreCount);
+  /// Rebuild clusterBegin_ from clusterOfCore_.
+  void computeSpans();
   void scatterSample(const sched::SchedulerView& view);
   void rebalance(sched::SchedulerView& view);
   void refreshAggregates(bool anyActed);
@@ -109,6 +111,10 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   int configuredClusters_;
   int clusterCount_ = 0;  ///< resolved (min(configured, cores)); 0 = not yet
   std::vector<int> clusterOfCore_;
+  /// Cluster k's core span is [clusterBegin_[k], clusterBegin_[k + 1]):
+  /// the cores its child view, observer and commit scans may touch.
+  /// Derived from clusterOfCore_, never serialized.
+  std::vector<int> clusterBegin_;
   std::vector<std::unique_ptr<DikeScheduler>> clusters_;
   /// Per-cluster sample buffers; capacity persists across quanta.
   std::vector<sim::QuantumSample> clusterSamples_;

@@ -313,7 +313,7 @@ void DikeScheduler::rotateRoundRobin(sched::SchedulerView& view,
   // thread visits every core class, which is what restores fairness.
   std::vector<int>& occupants = arena_.occupants;
   occupants.clear();
-  for (int c = 0; c < view.coreCount(); ++c) {
+  for (int c = view.coreBegin(); c < view.coreEnd(); ++c) {
     const int t = view.coreOccupant(c);
     if (t >= 0 && !view.isSuspended(t)) occupants.push_back(t);
   }
@@ -348,7 +348,7 @@ void DikeScheduler::migrateToFreeCores(sched::SchedulerView& view,
   std::vector<int>& freeLow = arena_.freeLow;
   freeHigh.clear();
   freeLow.clear();
-  for (int c = 0; c < view.coreCount(); ++c) {
+  for (int c = view.coreBegin(); c < view.coreEnd(); ++c) {
     if (view.coreOccupant(c) != -1) continue;
     (observer_.isHighBandwidthCore(c) ? freeHigh : freeLow).push_back(c);
   }

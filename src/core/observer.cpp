@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -22,25 +22,33 @@ std::string_view toString(WorkloadType type) noexcept {
   return "?";
 }
 
-Observation makeObservation(const sched::SchedulerView& view) {
-  Observation obs;
-  makeObservationInto(view, obs);
-  return obs;
-}
-
 void makeObservationInto(const sched::SchedulerView& view, Observation& out) {
-  // Copy-assignment into the existing sample reuses the capacity of its
-  // per-thread and per-core vectors; the topology vectors likewise keep
-  // theirs across clear().
-  out.sample = view.sample();
+  const sim::QuantumSample& sample = view.sample();
   const int cores = view.coreCount();
-  out.coreOccupant.clear();
-  out.coreSocket.clear();
-  out.coreOccupant.reserve(static_cast<std::size_t>(cores));
-  out.coreSocket.reserve(static_cast<std::size_t>(cores));
-  for (int c = 0; c < cores; ++c) {
-    out.coreOccupant.push_back(view.coreOccupant(c));
-    out.coreSocket.push_back(view.socketOf(c));
+  const int begin = view.coreBegin();
+  const int end = view.coreEnd();
+  const auto n = static_cast<std::size_t>(cores);
+  if (out.coreOccupant.size() != n || out.coreBegin != begin ||
+      out.coreEnd != end) {
+    // New geometry: prefill every slot once. Cores outside the span keep
+    // the foreign sentinel and zero bandwidth for the arena's lifetime;
+    // each quantum below rewrites only the span.
+    out.coreOccupant.assign(n, sched::SchedulerView::kForeignCore);
+    out.coreSocket.resize(n);
+    for (int c = 0; c < cores; ++c)
+      out.coreSocket[static_cast<std::size_t>(c)] = view.socketOf(c);
+    out.sample.coreAchievedBw.assign(n, 0.0);
+    out.coreBegin = begin;
+    out.coreEnd = end;
+  }
+  // Copy-assignment reuses the per-thread rows' capacity.
+  out.sample.periodTicks = sample.periodTicks;
+  out.sample.threads = sample.threads;
+  for (int c = begin; c < end; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    out.coreOccupant[i] = view.coreOccupant(c);
+    out.coreSocket[i] = view.socketOf(c);
+    out.sample.coreAchievedBw[i] = sample.coreAchievedBw[i];
   }
 }
 
@@ -64,8 +72,20 @@ void Observer::observe(const Observation& obs) {
   ++observedQuanta_;
 }
 
-bool Observer::sanitize(const sim::ThreadSample& raw, double& accessRate,
-                        double& llcMissRatio, int& staleAge) {
+Observer::ThreadState& Observer::stateOf(int threadId) {
+  const auto id = static_cast<std::size_t>(threadId);
+  if (id >= slotById_.size()) slotById_.resize(id + 1, -1);
+  int& slot = slotById_[id];
+  if (slot < 0) {
+    slot = util::isize(states_);
+    states_.emplace_back(config_.threadRateWindow);
+  }
+  return states_[static_cast<std::size_t>(slot)];
+}
+
+bool Observer::sanitize(const sim::ThreadSample& raw, ThreadState& state,
+                        double& accessRate, double& llcMissRatio,
+                        int& staleAge) {
   const bool bad = raw.dropped || !std::isfinite(raw.accessRate) ||
                    raw.accessRate < 0.0 ||
                    raw.accessRate > config_.maxPlausibleRate ||
@@ -76,7 +96,8 @@ bool Observer::sanitize(const sim::ThreadSample& raw, double& accessRate,
     // counters still carry the "memory-bound" signal).
     llcMissRatio = std::min(raw.llcMissRatio, 1.0);
     staleAge = 0;
-    lastGood_[raw.threadId] = HeldSample{accessRate, llcMissRatio, 0};
+    state.hold = HeldSample{accessRate, llcMissRatio, 0};
+    state.hasHold = true;
     return true;
   }
   if (!config_.sanitizeSamples) {
@@ -91,18 +112,17 @@ bool Observer::sanitize(const sim::ThreadSample& raw, double& accessRate,
     staleAge = 0;
     return true;
   }
-  const auto it = lastGood_.find(raw.threadId);
-  if (it == lastGood_.end() || it->second.age >= config_.maxSampleHoldQuanta) {
+  if (!state.hasHold || state.hold.age >= config_.maxSampleHoldQuanta) {
     // Nothing trustworthy to hold: treat the thread as unobserved this
     // quantum instead of feeding garbage into the moving means.
     ++discardedSamples_;
     DIKE_COUNTER("core.observer.sample_discarded");
     return false;
   }
-  ++it->second.age;
-  accessRate = it->second.accessRate;
-  llcMissRatio = it->second.llcMissRatio;
-  staleAge = it->second.age;
+  ++state.hold.age;
+  accessRate = state.hold.accessRate;
+  llcMissRatio = state.hold.llcMissRatio;
+  staleAge = state.hold.age;
   ++heldSamples_;
   DIKE_COUNTER("core.observer.sample_held");
   return true;
@@ -125,17 +145,18 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
     info.threadId = s.threadId;
     info.processId = s.processId;
     info.coreId = s.coreId;
-    if (!sanitize(s, info.accessRate, info.llcMissRatio, info.staleAge))
+    ThreadState& state = stateOf(s.threadId);
+    if (!sanitize(s, state, info.accessRate, info.llcMissRatio,
+                  info.staleAge))
       continue;
-    auto [it, inserted] = threadRate_.try_emplace(
-        s.threadId, util::MovingMean{config_.threadRateWindow});
-    it->second.add(info.accessRate);
-    info.avgAccessRate = it->second.value();
-    cumAccesses_[s.threadId] += info.accessRate * periodSec;
-    cumSeconds_[s.threadId] += periodSec;
-    info.cumAccessRate = cumSeconds_[s.threadId] > 0.0
-                             ? cumAccesses_[s.threadId] /
-                                   cumSeconds_[s.threadId]
+    state.hasRate = true;
+    state.rate.add(info.accessRate);
+    info.avgAccessRate = state.rate.value();
+    state.hasCum = true;
+    state.cumAccesses += info.accessRate * periodSec;
+    state.cumSeconds += periodSec;
+    info.cumAccessRate = state.cumSeconds > 0.0
+                             ? state.cumAccesses / state.cumSeconds
                              : 0.0;
     info.cls = info.llcMissRatio > config_.llcMissThreshold
                    ? ThreadClass::Memory
@@ -169,17 +190,15 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
   // Index the fresh (sample-order) list by id, then decide between the
   // incremental repair path and a full sort. Membership is unchanged when
   // the previous order has the same length and every id it names is still
-  // live — distinct ids on both sides make that a bijection.
-  int maxId = -1;
-  for (const ThreadInfo& t : threads_) maxId = std::max(maxId, t.threadId);
-  threadIndexById_.assign(static_cast<std::size_t>(maxId + 1), -1);
-  for (int i = 0; i < util::isize(threads_); ++i)
-    threadIndexById_[static_cast<std::size_t>(threads_[static_cast<std::size_t>(i)]
-                                                  .threadId)] = i;
+  // live — distinct ids on both sides make that a bijection. The index
+  // holds exactly prevOrder_'s ids on entry; resetting just those keeps
+  // the cost at this observer's threads, not the largest thread id.
+  for (int id : prevOrder_) threadIndexById_[static_cast<std::size_t>(id)] = -1;
+  indexThreads();
   bool sameMembership = prevOrder_.size() == threads_.size();
   if (sameMembership)
     for (int id : prevOrder_)
-      if (id > maxId || threadIndexById_[static_cast<std::size_t>(id)] < 0) {
+      if (threadIndexById_[static_cast<std::size_t>(id)] < 0) {
         sameMembership = false;
         break;
       }
@@ -229,16 +248,21 @@ void Observer::accumulatePerProcess() {
   }
 }
 
-void Observer::recordThreadOrder() {
-  int maxId = -1;
-  for (const ThreadInfo& t : threads_) maxId = std::max(maxId, t.threadId);
-  threadIndexById_.assign(static_cast<std::size_t>(maxId + 1), -1);
-  prevOrder_.clear();
+void Observer::indexThreads() {
   for (int i = 0; i < util::isize(threads_); ++i) {
-    const ThreadInfo& t = threads_[static_cast<std::size_t>(i)];
-    prevOrder_.push_back(t.threadId);
-    threadIndexById_[static_cast<std::size_t>(t.threadId)] = i;
+    const auto id =
+        static_cast<std::size_t>(threads_[static_cast<std::size_t>(i)].threadId);
+    if (id >= threadIndexById_.size()) threadIndexById_.resize(id + 1, -1);
+    threadIndexById_[id] = i;
   }
+}
+
+void Observer::recordThreadOrder() {
+  // threads_ holds the ids the index already names (a permutation of the
+  // sample-order list), so re-pointing them is a full rebuild.
+  indexThreads();
+  prevOrder_.clear();
+  for (const ThreadInfo& t : threads_) prevOrder_.push_back(t.threadId);
 }
 
 const ThreadInfo* Observer::findThread(int threadId) const noexcept {
@@ -249,14 +273,20 @@ const ThreadInfo* Observer::findThread(int threadId) const noexcept {
   return idx >= 0 ? &threads_[static_cast<std::size_t>(idx)] : nullptr;
 }
 
+std::pair<int, int> Observer::scanSpan(const Observation& obs) const {
+  const int end = std::max(0, std::min({obs.coreEnd, util::isize(coreBwRaw_),
+                                       util::isize(obs.coreOccupant)}));
+  return {std::clamp(obs.coreBegin, 0, end), end};
+}
+
 void Observer::updateCoreBw(const Observation& obs) {
   // Per-core filter: rise immediately to demonstrated bandwidth, decay
-  // slowly when the core hosts an undemanding thread. Foreign cores (a
-  // cluster-scoped view marks cores outside its domain with kForeignCore)
-  // are skipped outright: their bandwidth belongs to another cluster's
-  // observer and must not enter this one's estimates.
-  for (std::size_t c = 0; c < coreBwRaw_.size(); ++c) {
-    if (obs.coreOccupant[c] <= sched::SchedulerView::kForeignCore) continue;
+  // slowly when the core hosts an undemanding thread. Only the span is
+  // scanned: cores outside it belong to another cluster's observer, and
+  // their entries here stay at zero.
+  const auto [begin, end] = scanSpan(obs);
+  for (int ci = begin; ci < end; ++ci) {
+    const auto c = static_cast<std::size_t>(ci);
     const double achieved = obs.sample.coreAchievedBw[c];
     if (obs.coreOccupant[c] < 0 && achieved <= 0.0)
       continue;  // idle core: keep the last estimate
@@ -272,23 +302,22 @@ void Observer::updateCoreBw(const Observation& obs) {
   }
 
   // Socket blending: a core can deliver at least `socketShare` of what the
-  // best core on its (homogeneous-silicon) socket has demonstrated.
+  // best core on its (homogeneous-silicon) socket has demonstrated. A
+  // socket may straddle a cluster boundary; blending over the span alone
+  // keeps a neighbour cluster's capability off cores this observer cannot
+  // schedule.
   int socketCount = 0;
-  for (int s : obs.coreSocket) socketCount = std::max(socketCount, s + 1);
+  for (int c = begin; c < end; ++c)
+    socketCount = std::max(
+        socketCount, obs.coreSocket[static_cast<std::size_t>(c)] + 1);
   socketCapScratch_.assign(static_cast<std::size_t>(socketCount), 0.0);
-  for (std::size_t c = 0; c < coreBwRaw_.size(); ++c) {
-    if (obs.coreOccupant[c] <= sched::SchedulerView::kForeignCore) continue;
+  for (int ci = begin; ci < end; ++ci) {
+    const auto c = static_cast<std::size_t>(ci);
     double& cap = socketCapScratch_[static_cast<std::size_t>(obs.coreSocket[c])];
     cap = std::max(cap, coreBwRaw_[c]);
   }
-  for (std::size_t c = 0; c < coreBwRaw_.size(); ++c) {
-    if (obs.coreOccupant[c] <= sched::SchedulerView::kForeignCore) {
-      // A socket may straddle a cluster boundary; blending must not leak
-      // a neighbour cluster's capability onto cores this observer cannot
-      // schedule.
-      coreBwEffective_[c] = 0.0;
-      continue;
-    }
+  for (int ci = begin; ci < end; ++ci) {
+    const auto c = static_cast<std::size_t>(ci);
     const double blended =
         config_.socketShare *
         socketCapScratch_[static_cast<std::size_t>(obs.coreSocket[c])];
@@ -297,21 +326,20 @@ void Observer::updateCoreBw(const Observation& obs) {
 }
 
 void Observer::partitionCores(const Observation& obs) {
-  // Rank every core with a bandwidth estimate (occupied now, or exercised
-  // earlier — a freed fast core keeps its capability); top half is "high
-  // bandwidth".
+  // Rank every core of the span with a bandwidth estimate (occupied now,
+  // or exercised earlier — a freed fast core keeps its capability); top
+  // half is "high bandwidth". Another cluster's cores are never ranked.
+  const auto [begin, end] = scanSpan(obs);
   std::vector<int>& known = knownScratch_;
   known.clear();
-  known.reserve(coreBwEffective_.size());
-  for (int c = 0; c < util::isize(coreBwEffective_); ++c) {
-    const int occupant = obs.coreOccupant[static_cast<std::size_t>(c)];
-    if (occupant <= sched::SchedulerView::kForeignCore)
-      continue;  // another cluster's core: never rank it here
-    if (occupant >= 0 || coreBwEffective_[static_cast<std::size_t>(c)] > 0.0)
+  for (int c = begin; c < end; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    if (obs.coreOccupant[i] >= 0 || coreBwEffective_[i] > 0.0)
       known.push_back(c);
   }
 
-  std::fill(highBandwidth_.begin(), highBandwidth_.end(), false);
+  std::fill(highBandwidth_.begin() + begin, highBandwidth_.begin() + end,
+            false);
   if (known.empty()) return;
   std::sort(known.begin(), known.end(), [this](int a, int b) {
     const double ea = coreBwEffective_[static_cast<std::size_t>(a)];
@@ -357,8 +385,11 @@ void Observer::classifyWorkload() {
 }
 
 void Observer::resetClosedLoopState() {
-  threadRate_.clear();
-  lastGood_.clear();
+  for (ThreadState& state : states_) {
+    state.rate.reset();
+    state.hasRate = false;
+    state.hasHold = false;
+  }
   if (config_.symmetricMovingMean && !coreBwWindow_.empty()) {
     // Restart each window from the current effective estimate: the filter
     // forgets poisoned history without zeroing the capability map.
@@ -377,18 +408,6 @@ double Observer::coreBw(int coreId) const {
 bool Observer::isHighBandwidthCore(int coreId) const {
   return highBandwidth_.at(static_cast<std::size_t>(coreId));
 }
-
-namespace {
-
-/// Serialize an int-keyed map in ascending key order (the maps are
-/// lookup-only, so insertion order carries no state; sorting makes the
-/// byte stream deterministic).
-template <typename V>
-std::map<int, V> sorted(const std::unordered_map<int, V>& m) {
-  return std::map<int, V>{m.begin(), m.end()};
-}
-
-}  // namespace
 
 void Observer::saveState(ckpt::BinWriter& w) const {
   w.beginSection("observer");
@@ -416,39 +435,52 @@ void Observer::saveState(ckpt::BinWriter& w) const {
     w.endSection();
   }
 
-  const auto rates = sorted(threadRate_);
-  w.i64("threadRateCount", static_cast<std::int64_t>(rates.size()));
-  for (const auto& [id, mm] : rates) {
+  // Per-thread state goes out as three lists in ascending thread id (the
+  // dense index is already in id order), each naming only the threads
+  // whose field is present.
+  const auto eachState = [this](auto&& fn) {
+    for (std::size_t id = 0; id < slotById_.size(); ++id)
+      if (slotById_[id] >= 0)
+        fn(static_cast<int>(id),
+           states_[static_cast<std::size_t>(slotById_[id])]);
+  };
+  std::int64_t rateCount = 0;
+  std::int64_t holdCount = 0;
+  std::vector<std::int64_t> cumIds;
+  std::vector<double> cumAccesses;
+  std::vector<double> cumSeconds;
+  eachState([&](int id, const ThreadState& st) {
+    rateCount += st.hasRate ? 1 : 0;
+    holdCount += st.hasHold ? 1 : 0;
+    if (!st.hasCum) return;
+    cumIds.push_back(id);
+    cumAccesses.push_back(st.cumAccesses);
+    cumSeconds.push_back(st.cumSeconds);
+  });
+
+  w.i64("threadRateCount", rateCount);
+  eachState([&w](int id, const ThreadState& st) {
+    if (!st.hasRate) return;
     w.beginSection("rate");
     w.i64("threadId", id);
-    ckpt::save(w, "window", mm);
+    ckpt::save(w, "window", st.rate);
     w.endSection();
-  }
+  });
 
-  const auto holds = sorted(lastGood_);
-  w.i64("holdCount", static_cast<std::int64_t>(holds.size()));
-  for (const auto& [id, h] : holds) {
+  w.i64("holdCount", holdCount);
+  eachState([&w](int id, const ThreadState& st) {
+    if (!st.hasHold) return;
     w.beginSection("hold");
     w.i64("threadId", id);
-    w.f64("accessRate", h.accessRate);
-    w.f64("llcMissRatio", h.llcMissRatio);
-    w.i64("age", h.age);
+    w.f64("accessRate", st.hold.accessRate);
+    w.f64("llcMissRatio", st.hold.llcMissRatio);
+    w.i64("age", st.hold.age);
     w.endSection();
-  }
+  });
 
-  {
-    std::vector<std::int64_t> ids;
-    std::vector<double> accesses;
-    std::vector<double> seconds;
-    for (const auto& [id, v] : sorted(cumAccesses_)) {
-      ids.push_back(id);
-      accesses.push_back(v);
-      seconds.push_back(cumSeconds_.count(id) != 0 ? cumSeconds_.at(id) : 0.0);
-    }
-    w.vecI64("cumThreadIds", ids);
-    w.vecF64("cumAccesses", accesses);
-    w.vecF64("cumSeconds", seconds);
-  }
+  w.vecI64("cumThreadIds", cumIds);
+  w.vecF64("cumAccesses", cumAccesses);
+  w.vecF64("cumSeconds", cumSeconds);
 
   w.vecF64("coreBwRaw", coreBwRaw_);
   w.vecF64("coreBwEffective", coreBwEffective_);
@@ -478,7 +510,11 @@ void Observer::loadState(ckpt::BinReader& r) {
   for (std::int64_t i = 0; i < infoCount; ++i) {
     r.beginSection("info");
     ThreadInfo t;
-    t.threadId = static_cast<int>(r.i64("threadId"));
+    t.threadId = util::checkedInt<ckpt::CheckpointError>(
+        r.i64("threadId"), "observer checkpoint: info threadId");
+    if (t.threadId < 0)
+      throw ckpt::CheckpointError{
+          "observer checkpoint: info threadId is negative"};
     t.processId = static_cast<int>(r.i64("processId"));
     t.coreId = static_cast<int>(r.i64("coreId"));
     t.accessRate = r.f64("accessRate");
@@ -492,26 +528,39 @@ void Observer::loadState(ckpt::BinReader& r) {
     fresh.threads_.push_back(t);
   }
 
+  // Thread ids index the dense per-thread table and each list names a
+  // thread at most once (saveState writes them that way), so a negative,
+  // out-of-range or repeated id is corruption.
+  const auto stateFor = [&fresh](std::int64_t id, bool ThreadState::*present,
+                                 const char* list) -> ThreadState& {
+    if (id < 0 || id > std::numeric_limits<int>::max())
+      throw ckpt::CheckpointError{std::string{"observer checkpoint: "} +
+                                  list + " thread id out of range"};
+    ThreadState& st = fresh.stateOf(static_cast<int>(id));
+    if (st.*present)
+      throw ckpt::CheckpointError{std::string{"observer checkpoint: "} +
+                                  list + " names a thread twice"};
+    st.*present = true;
+    return st;
+  };
   const std::int64_t rateCount = r.i64("threadRateCount");
   for (std::int64_t i = 0; i < rateCount; ++i) {
     r.beginSection("rate");
-    const int id = static_cast<int>(r.i64("threadId"));
-    util::MovingMean mm{config_.threadRateWindow};
-    ckpt::load(r, "window", mm);
+    ThreadState& st =
+        stateFor(r.i64("threadId"), &ThreadState::hasRate, "rate");
+    ckpt::load(r, "window", st.rate);
     r.endSection();
-    fresh.threadRate_.emplace(id, std::move(mm));
   }
 
   const std::int64_t holdCount = r.i64("holdCount");
   for (std::int64_t i = 0; i < holdCount; ++i) {
     r.beginSection("hold");
-    const int id = static_cast<int>(r.i64("threadId"));
-    HeldSample h;
-    h.accessRate = r.f64("accessRate");
-    h.llcMissRatio = r.f64("llcMissRatio");
-    h.age = static_cast<int>(r.i64("age"));
+    ThreadState& st =
+        stateFor(r.i64("threadId"), &ThreadState::hasHold, "hold");
+    st.hold.accessRate = r.f64("accessRate");
+    st.hold.llcMissRatio = r.f64("llcMissRatio");
+    st.hold.age = static_cast<int>(r.i64("age"));
     r.endSection();
-    fresh.lastGood_.emplace(id, h);
   }
 
   const std::vector<std::int64_t> cumIds = r.vecI64("cumThreadIds");
@@ -523,8 +572,9 @@ void Observer::loadState(ckpt::BinReader& r) {
         "observer checkpoint: cumulative id/accesses/seconds lists disagree "
         "in length"};
   for (std::size_t i = 0; i < cumIds.size(); ++i) {
-    fresh.cumAccesses_[static_cast<int>(cumIds[i])] = cumAccesses[i];
-    fresh.cumSeconds_[static_cast<int>(cumIds[i])] = cumSeconds[i];
+    ThreadState& st = stateFor(cumIds[i], &ThreadState::hasCum, "cumulative");
+    st.cumAccesses = cumAccesses[i];
+    st.cumSeconds = cumSeconds[i];
   }
 
   fresh.coreBwRaw_ = r.vecF64("coreBwRaw");
@@ -541,6 +591,14 @@ void Observer::loadState(ckpt::BinReader& r) {
   for (std::size_t i = 0; i < high.size(); ++i)
     fresh.highBandwidth_[i] = high[i] != 0;
   r.endSection();
+  // The per-core scans index every per-core array up to coreBwRaw_'s size.
+  const std::size_t cores = fresh.coreBwRaw_.size();
+  const std::size_t windows = config_.symmetricMovingMean ? cores : 0;
+  if (fresh.coreBwEffective_.size() != cores ||
+      fresh.highBandwidth_.size() != cores ||
+      fresh.coreBwWindow_.size() != windows)
+    throw ckpt::CheckpointError{
+        "observer checkpoint: per-core arrays disagree in length"};
 
   *this = std::move(fresh);
   // The order/index caches are never serialized (pure scratch); rebuild

@@ -8,7 +8,7 @@
 // estimate the Optimizer keys on.
 #pragma once
 
-#include <unordered_map>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -24,15 +24,20 @@ namespace dike::core {
 /// is reusable on live systems.
 struct Observation {
   sim::QuantumSample sample;
-  std::vector<int> coreOccupant;  ///< thread id per core, -1 when free
+  /// Thread id per core, -1 when free, SchedulerView::kForeignCore outside
+  /// [coreBegin, coreEnd).
+  std::vector<int> coreOccupant;
   std::vector<int> coreSocket;    ///< socket id per core
+  /// The core span the Observer scans: a cluster's own cores, or (the
+  /// default) every core. The per-core vectors stay machine-sized and are
+  /// indexed by global core id; entries outside the span carry no signal.
+  int coreBegin = 0;
+  int coreEnd = std::numeric_limits<int>::max();
 };
 
-/// Build an Observation from a simulator scheduler view.
-[[nodiscard]] Observation makeObservation(const sched::SchedulerView& view);
-
-/// Allocation-free makeObservation: refills `out` in place so its vectors
-/// (and the sample's per-thread rows) keep their capacity across quanta.
+/// Refill `out` from a simulator scheduler view, in place: its vectors (and
+/// the sample's per-thread rows) keep their capacity across quanta, and
+/// only the view's core span is copied — foreign slots are prefilled once.
 void makeObservationInto(const sched::SchedulerView& view, Observation& out);
 
 enum class ThreadClass { Compute, Memory };
@@ -150,6 +155,9 @@ class Observer {
   /// Accumulate per-process OnlineStats of cumAccessRate over threads_ in
   /// its current iteration order, into the reusable flat scratch.
   void accumulatePerProcess();
+  /// Point threadIndexById_ at every entry of threads_ (growing it as
+  /// needed); entries for other ids are left as they are.
+  void indexThreads();
   /// Rebuild prevOrder_ and threadIndexById_ from the (sorted) threads_.
   void recordThreadOrder();
 
@@ -162,18 +170,36 @@ class Observer {
     double llcMissRatio = 0.0;
     int age = 0;  ///< quanta since the reading was taken
   };
-  /// Sanitized copy of one raw sample, or nullopt to skip the thread.
-  [[nodiscard]] bool sanitize(const sim::ThreadSample& raw,
+  /// Everything remembered about one thread across quanta. Each field has
+  /// a presence bit: a record exists for every thread ever sampled, but a
+  /// field counts (and is checkpointed) only once it has been set, so the
+  /// saved rate, hold and cumulative lists name exactly the threads that
+  /// carry that state.
+  struct ThreadState {
+    explicit ThreadState(std::size_t rateWindow) : rate(rateWindow) {}
+    util::MovingMean rate;  ///< avg access rate window
+    HeldSample hold;        ///< sanitization hold
+    double cumAccesses = 0.0;
+    double cumSeconds = 0.0;
+    bool hasRate = false;
+    bool hasHold = false;
+    bool hasCum = false;
+  };
+  /// The thread's record, created on first use (one dense-index lookup).
+  [[nodiscard]] ThreadState& stateOf(int threadId);
+  /// Sanitize one raw sample into the out-parameters; false to skip the
+  /// thread this quantum.
+  [[nodiscard]] bool sanitize(const sim::ThreadSample& raw, ThreadState& state,
                               double& accessRate, double& llcMissRatio,
                               int& staleAge);
+  /// Clamp an observation's core span to the per-core arrays.
+  [[nodiscard]] std::pair<int, int> scanSpan(const Observation& obs) const;
 
   std::vector<ThreadInfo> threads_;       // live, ascending avg access rate
-  std::unordered_map<int, util::MovingMean> threadRate_;
-  std::unordered_map<int, HeldSample> lastGood_;
+  std::vector<ThreadState> states_;       // per-thread records, first-seen order
+  std::vector<int> slotById_;             // dense threadId -> states_ index, -1 = none
   std::int64_t heldSamples_ = 0;
   std::int64_t discardedSamples_ = 0;
-  std::unordered_map<int, double> cumAccesses_;
-  std::unordered_map<int, double> cumSeconds_;
   std::vector<double> coreBwRaw_;         // per-core filtered estimate
   std::vector<double> coreBwEffective_;   // after socket blending
   std::vector<util::MovingMean> coreBwWindow_;  // symmetric variant storage
@@ -200,7 +226,8 @@ class Observer {
   std::vector<int> prevOrder_;
   std::vector<ThreadInfo> orderScratch_;  ///< permutation staging buffer
   /// Dense threadId -> index into threads_ (-1 when absent); backs
-  /// findThread and the membership check of the sort-repair path.
+  /// findThread and the membership check of the sort-repair path. Sized
+  /// by the largest id seen, but each quantum touches only live entries.
   std::vector<int> threadIndexById_;
   std::vector<double> socketCapScratch_;  ///< updateCoreBw per-socket maxima
   std::vector<int> knownScratch_;         ///< partitionCores ranking buffer

@@ -10,13 +10,33 @@
 
 namespace dike::core {
 
+double* PredictionTracker::findPending(int threadId) noexcept {
+  const auto id = static_cast<std::size_t>(threadId);
+  if (id >= pendingSlot_.size() || pendingSlot_[id] < 0) return nullptr;
+  return &pending_[static_cast<std::size_t>(pendingSlot_[id])].second;
+}
+
+void PredictionTracker::clearPending() noexcept {
+  for (const auto& [id, rate] : pending_)
+    pendingSlot_[static_cast<std::size_t>(id)] = -1;
+  pending_.clear();
+}
+
 void PredictionTracker::setPrediction(int threadId, double predictedRate) {
-  pending_[threadId] = predictedRate;
+  if (double* rate = findPending(threadId)) {
+    *rate = predictedRate;
+  } else {
+    setPredictionIfAbsent(threadId, predictedRate);
+  }
 }
 
 void PredictionTracker::setPredictionIfAbsent(int threadId,
                                               double predictedRate) {
-  pending_.try_emplace(threadId, predictedRate);
+  const auto id = static_cast<std::size_t>(threadId);
+  if (id >= pendingSlot_.size()) pendingSlot_.resize(id + 1, -1);
+  if (pendingSlot_[id] >= 0) return;
+  pendingSlot_[id] = util::isize(pending_);
+  pending_.emplace_back(threadId, predictedRate);
 }
 
 void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
@@ -24,11 +44,11 @@ void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
   util::OnlineStats quantum;
   lastScored_.clear();
   for (const sim::ThreadSample& s : sample.threads) {
-    const auto it = pending_.find(s.threadId);
-    if (it == pending_.end()) continue;
+    const double* pending = findPending(s.threadId);
+    if (pending == nullptr) continue;
     if (s.finished) continue;
     const double actual = s.accessRate;
-    const double predicted = it->second;
+    const double predicted = *pending;
     if (actual < kMinScoredRate || predicted < kMinScoredRate) {
       lastScored_.push_back(ScoredPrediction{
           s.threadId, predicted, actual,
@@ -45,7 +65,7 @@ void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
     if (inserted) threadOrder_.push_back(s.threadId);
     threadIt->second.add(error);
   }
-  pending_.clear();
+  clearPending();
 
   if (quantum.count() > 0) {
     trace_.push_back(PredictionErrorPoint{
@@ -79,7 +99,7 @@ std::vector<double> PredictionTracker::perThreadMeanErrors() const {
 }
 
 void PredictionTracker::reset() {
-  pending_.clear();
+  clearPending();
   perThread_.clear();
   threadOrder_.clear();
   trace_.clear();
@@ -92,7 +112,9 @@ void PredictionTracker::reset() {
 void PredictionTracker::saveState(ckpt::BinWriter& w) const {
   w.beginSection("predictionTracker");
   {
-    const std::map<int, double> pending{pending_.begin(), pending_.end()};
+    std::vector<std::pair<int, double>> pending = pending_;
+    std::sort(pending.begin(), pending.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::vector<std::int64_t> ids;
     std::vector<double> rates;
     for (const auto& [id, rate] : pending) {
@@ -157,8 +179,12 @@ void PredictionTracker::loadState(ckpt::BinReader& r) {
     throw ckpt::CheckpointError{
         "prediction tracker checkpoint: pending id/rate lists disagree in "
         "length"};
-  for (std::size_t i = 0; i < pendingIds.size(); ++i)
-    fresh.pending_[static_cast<int>(pendingIds[i])] = pendingRates[i];
+  for (std::size_t i = 0; i < pendingIds.size(); ++i) {
+    if (pendingIds[i] < 0 || pendingIds[i] > std::numeric_limits<int>::max())
+      throw ckpt::CheckpointError{
+          "prediction tracker checkpoint: pending thread id out of range"};
+    fresh.setPrediction(static_cast<int>(pendingIds[i]), pendingRates[i]);
+  }
   const std::vector<std::int64_t> order = r.vecI64("threadOrder");
   fresh.threadOrder_.reserve(order.size());
   for (const std::int64_t id : order)

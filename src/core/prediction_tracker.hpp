@@ -9,6 +9,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -49,6 +50,7 @@ class PredictionTracker {
   static constexpr double kDenominatorFloor = 4e6;
 
   /// Register the predicted access rate for a thread's next quantum.
+  /// Thread ids are dense and non-negative (they index a flat table).
   void setPrediction(int threadId, double predictedRate);
 
   /// Register a prediction only if the thread has none outstanding.
@@ -108,7 +110,16 @@ class PredictionTracker {
   void loadState(ckpt::BinReader& r);
 
  private:
-  std::unordered_map<int, double> pending_;
+  /// Outstanding prediction for `threadId`, or nullptr.
+  [[nodiscard]] double* findPending(int threadId) noexcept;
+  void clearPending() noexcept;
+
+  /// Outstanding predictions as a flat map: (thread id, rate) entries in
+  /// registration order plus a dense id -> entry index (-1 = none).
+  /// Clearing resets only the touched slots and keeps every capacity, so
+  /// the per-quantum register/score/clear cycle allocates nothing.
+  std::vector<std::pair<int, double>> pending_;
+  std::vector<int> pendingSlot_;
   std::unordered_map<int, util::OnlineStats> perThread_;
   std::vector<int> threadOrder_;
   std::vector<PredictionErrorPoint> trace_;

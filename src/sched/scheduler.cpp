@@ -32,18 +32,20 @@ void Scheduler::loadExtraState(ckpt::BinReader&) {}
 SchedulerView::SchedulerView(sim::Machine& machine,
                              const sim::QuantumSample& sample,
                              ActuationHook* hook)
-    : machine_(&machine), sample_(&sample), hook_(hook) {}
+    : machine_(&machine),
+      sample_(&sample),
+      hook_(hook),
+      coreEnd_(machine.topology().coreCount()) {}
 
 SchedulerView::SchedulerView(SchedulerView& parent,
                              const sim::QuantumSample& clusterSample,
-                             const std::vector<int>& clusterOfCore,
-                             int cluster)
+                             int coreBegin, int coreEnd)
     : machine_(parent.machine_),
       sample_(&clusterSample),
       hook_(nullptr),  // the parent applies its hook when we delegate
       parent_(&parent),
-      clusterOfCore_(&clusterOfCore),
-      cluster_(cluster) {}
+      coreBegin_(coreBegin),
+      coreEnd_(coreEnd) {}
 
 int SchedulerView::coreCount() const {
   return machine_->topology().coreCount();
@@ -58,8 +60,7 @@ int SchedulerView::socketOf(int coreId) const {
 }
 
 int SchedulerView::coreOccupant(int coreId) const {
-  if (clusterOfCore_ != nullptr &&
-      (*clusterOfCore_)[static_cast<std::size_t>(coreId)] != cluster_)
+  if (parent_ != nullptr && (coreId < coreBegin_ || coreId >= coreEnd_))
     return kForeignCore;
   return machine_->coreOccupant(coreId);
 }

@@ -56,11 +56,11 @@ class SchedulerView {
   /// Cluster-scoped child view: presents `clusterSample` (the parent
   /// quantum's rows filtered to one cluster) while delegating every
   /// actuation and topology query to `parent`, whose swap/migration
-  /// counters keep the totals. Cores whose `clusterOfCore` entry differs
-  /// from `cluster` read as kForeignCore. Used by ClusteredDikeScheduler;
-  /// `parent`, and `clusterOfCore` must outlive this view.
+  /// counters keep the totals. The view's domain is the contiguous core
+  /// span [coreBegin, coreEnd); cores outside it read as kForeignCore.
+  /// Used by ClusteredDikeScheduler; `parent` must outlive this view.
   SchedulerView(SchedulerView& parent, const sim::QuantumSample& clusterSample,
-                const std::vector<int>& clusterOfCore, int cluster);
+                int coreBegin, int coreEnd);
 
   /// Counter readings for the quantum that just ended.
   [[nodiscard]] const sim::QuantumSample& sample() const noexcept {
@@ -74,6 +74,12 @@ class SchedulerView {
   /// Thread currently occupying a core, -1 when free, or kForeignCore when
   /// the core lies outside this (cluster-scoped) view's domain.
   [[nodiscard]] int coreOccupant(int coreId) const;
+
+  /// The view's core span [coreBegin(), coreEnd()): every core a root view
+  /// covers, or one cluster's contiguous range. Per-core scans walk only
+  /// this span, so a cluster's work is proportional to its own cores.
+  [[nodiscard]] int coreBegin() const noexcept { return coreBegin_; }
+  [[nodiscard]] int coreEnd() const noexcept { return coreEnd_; }
 
   [[nodiscard]] util::Tick now() const;
 
@@ -112,8 +118,8 @@ class SchedulerView {
   /// Set on cluster-scoped child views; actuations and counters then live
   /// on the parent so adapter totals see every swap exactly once.
   SchedulerView* parent_ = nullptr;
-  const std::vector<int>* clusterOfCore_ = nullptr;
-  int cluster_ = -1;
+  int coreBegin_ = 0;
+  int coreEnd_ = 0;
   std::int64_t swaps_ = 0;
   std::int64_t migrations_ = 0;
   std::int64_t failedActuations_ = 0;

@@ -81,12 +81,12 @@ void TaskPool::runBatch(Batch& batch) {
     } catch (...) {
       batch.errors[i] = std::current_exception();
     }
-    {
+    if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        batch.count) {
+      // Locking before the notify closes the window between the caller's
+      // predicate check and its wait, so the wake-up cannot be lost.
       const std::lock_guard lock{batch.mu};
-      // The lock pairs each errors[i] write with the caller's post-wait
-      // read: the caller only reads the array after observing done == count
-      // under the same mutex.
-      if (++batch.done == batch.count) batch.doneCv.notify_all();
+      batch.doneCv.notify_all();
     }
   }
 }
@@ -116,7 +116,9 @@ void TaskPool::forEach(std::size_t count,
   runBatch(*batch);
   {
     std::unique_lock lock{batch->mu};
-    batch->doneCv.wait(lock, [&] { return batch->done == batch->count; });
+    batch->doneCv.wait(lock, [&] {
+      return batch->done.load(std::memory_order_acquire) == batch->count;
+    });
   }
   for (const std::exception_ptr& e : batch->errors)
     if (e) std::rethrow_exception(e);

@@ -71,9 +71,10 @@ class TaskPool {
 
  private:
   /// One forEach invocation: helpers and the caller race on `next` to claim
-  /// indices; the last finisher signals `done_cv`. Heap-allocated and
-  /// shared_ptr-held so a helper task that starts after the batch completed
-  /// (queue backlog) can still observe next >= count and retire safely.
+  /// indices and count finished ones in `done`; only the last finisher
+  /// takes `mu`, to signal `doneCv`. Heap-allocated and shared_ptr-held so
+  /// a helper task that starts after the batch completed (queue backlog)
+  /// can still observe next >= count and retire safely.
   struct Batch {
     explicit Batch(std::size_t n,
                    const std::function<void(std::size_t)>* f)
@@ -83,9 +84,11 @@ class TaskPool {
     /// batch completes (no index can be claimed once next >= count).
     const std::function<void(std::size_t)>* fn;
     std::atomic<std::size_t> next{0};
-    std::mutex mu;
+    /// Finished indices. Each errors[i] write happens before its acq_rel
+    /// increment, so the caller's acquire load of done == count sees them.
+    std::atomic<std::size_t> done{0};
+    std::mutex mu;  ///< pairs the final notify with the caller's wait
     std::condition_variable doneCv;
-    std::size_t done = 0;  // guarded by mu
     std::vector<std::exception_ptr> errors;
   };
 

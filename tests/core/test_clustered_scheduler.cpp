@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ckpt/archive.hpp"
 #include "sched/placement.hpp"
@@ -209,6 +210,73 @@ TEST(ClusteredDikeScheduler, RejectsCorruptGeometry) {
   ClusteredDikeScheduler target{clusteredConfig(4)};
   ckpt::BinReader r{saved};
   EXPECT_THROW(target.loadState(r), ckpt::CheckpointError);
+}
+
+/// Overwrite the serialized clusterOfCore vector (a u32 length, then one
+/// i64 per core) in place with `map`, which must have the same length.
+void patchClusterOfCore(std::string& saved, const std::vector<int>& map) {
+  const std::string field = "clusterOfCore";
+  const std::size_t pos = saved.find(field);
+  ASSERT_NE(pos, std::string::npos);
+  std::size_t off = pos + field.size() + 4;
+  for (const int k : map) {
+    const auto bits = static_cast<std::uint64_t>(std::int64_t{k});
+    for (int i = 0; i < 8; ++i)
+      saved[off++] = static_cast<char>((bits >> (8 * i)) & 0xFF);
+  }
+}
+
+TEST(ClusteredDikeScheduler, RejectsNonContiguousClusterMap) {
+  // Every map below keeps each entry in range, so only the shape check can
+  // catch it: the per-cluster core spans are exact only for clusters
+  // 0..K-1 as ascending, contiguous, non-empty runs of cores.
+  sim::Machine machine = clusterMachine();
+  ClusteredDikeScheduler scheduler{clusteredConfig(4)};
+  sched::SchedulerAdapter adapter{scheduler};
+  (void)sim::runMachine(machine, adapter);
+  const std::string saved = stateBytes(scheduler);
+  ASSERT_EQ(scheduler.clusterOfCore(),
+            (std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}));
+
+  const struct {
+    const char* what;
+    std::vector<int> map;
+  } corrupt[] = {
+      {"decreasing step", {0, 0, 0, 0, 1, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}},
+      {"cluster in two runs", {0, 0, 0, 0, 1, 1, 1, 1, 2, 1, 2, 2, 3, 3, 3, 3}},
+      {"no core in cluster 0", {1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}},
+      {"no core in cluster 2", {0, 0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3}},
+      {"no core in cluster 3", {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2}},
+  };
+  for (const auto& c : corrupt) {
+    std::string bytes = saved;
+    patchClusterOfCore(bytes, c.map);
+    ClusteredDikeScheduler target{clusteredConfig(4)};
+    ckpt::BinReader r{bytes};
+    EXPECT_THROW(target.loadState(r), ckpt::CheckpointError) << c.what;
+  }
+
+  // The unpatched bytes still restore.
+  ClusteredDikeScheduler target{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  EXPECT_NO_THROW(target.loadState(r));
+}
+
+TEST(ClusteredDikeScheduler, RejectsGeometryOfAnotherMachine) {
+  // The 16-core geometry restored onto a 4-core machine: the spans would
+  // index past the sample and the view, so the quantum must refuse.
+  sim::Machine machine = clusterMachine();
+  ClusteredDikeScheduler scheduler{clusteredConfig(4)};
+  sched::SchedulerAdapter adapter{scheduler};
+  adapter.onQuantum(machine);
+  const std::string saved = stateBytes(scheduler);
+
+  ClusteredDikeScheduler restored{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  restored.loadState(r);
+  sim::Machine small{sim::MachineTopology::smallTestbed(2), sim::MachineConfig{}};
+  sched::SchedulerAdapter smallAdapter{restored};
+  EXPECT_THROW(smallAdapter.onQuantum(small), std::runtime_error);
 }
 
 TEST(ClusteredDikeScheduler, RejectsInvalidDecideJobs) {

@@ -59,6 +59,31 @@ TEST(SchedulerView, MigrateToCountsSeparately) {
   EXPECT_EQ(m.coreOccupant(1), 0);
 }
 
+TEST(SchedulerView, ChildViewIsScopedToItsCoreSpan) {
+  sim::Machine m = twoThreadMachine();
+  const sim::QuantumSample sample = m.sampleAndReset();
+  SchedulerView root{m, sample};
+  EXPECT_EQ(root.coreBegin(), 0);
+  EXPECT_EQ(root.coreEnd(), 4);
+
+  // Socket 1 = cores [2, 4): thread 1 sits on core 2, core 3 is free.
+  const sim::QuantumSample clusterSample;
+  SchedulerView child{root, clusterSample, 2, 4};
+  EXPECT_EQ(child.coreBegin(), 2);
+  EXPECT_EQ(child.coreEnd(), 4);
+  EXPECT_EQ(child.coreOccupant(0), SchedulerView::kForeignCore);
+  EXPECT_EQ(child.coreOccupant(1), SchedulerView::kForeignCore);
+  EXPECT_EQ(child.coreOccupant(2), 1);
+  EXPECT_EQ(child.coreOccupant(3), -1);
+  EXPECT_EQ(&child.sample(), &clusterSample);
+
+  // Actuations land on the parent, which keeps the tallies.
+  EXPECT_TRUE(child.migrateTo(1, 3));
+  EXPECT_EQ(m.coreOccupant(3), 1);
+  EXPECT_EQ(root.migrationsThisQuantum(), 1);
+  EXPECT_EQ(child.migrationsThisQuantum(), 1);
+}
+
 TEST(SchedulerAdapter, SamplesOncePerQuantumAndAccumulates) {
   sim::Machine m = twoThreadMachine();
 
