@@ -1,7 +1,9 @@
 #include "ckpt/archive.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 namespace dike::ckpt {
@@ -33,6 +35,56 @@ std::string formatF64(double v) {
   return buf;
 }
 
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+template <class U>
+char* putLE(char* p, U v) noexcept {
+  if constexpr (kLittleEndian) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i)
+      p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  return p + sizeof v;
+}
+
+template <class U>
+U getLE(const char* p) noexcept {
+  U v = 0;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i)
+      v |= static_cast<U>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+/// Encode 8-byte values (double or int64) as one little-endian block.
+template <class T>
+char* putBlock(char* p, std::span<const T> v) noexcept {
+  static_assert(sizeof(T) == 8);
+  if constexpr (kLittleEndian) {
+    if (!v.empty()) std::memcpy(p, v.data(), v.size_bytes());
+    return p + v.size_bytes();
+  } else {
+    for (const T x : v) p = putLE(p, std::bit_cast<std::uint64_t>(x));
+    return p;
+  }
+}
+
+/// Decode `out.size()` 8-byte values from a little-endian block.
+template <class T>
+void getBlock(std::string_view bytes, std::span<T> out) noexcept {
+  static_assert(sizeof(T) == 8);
+  if constexpr (kLittleEndian) {
+    if (!out.empty()) std::memcpy(out.data(), bytes.data(), out.size_bytes());
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = std::bit_cast<T>(getLE<std::uint64_t>(bytes.data() + 8 * i));
+  }
+}
+
 }  // namespace
 
 std::string_view toString(Tag tag) noexcept {
@@ -52,76 +104,70 @@ std::string_view toString(Tag tag) noexcept {
 
 // ---------------------------------------------------------------- BinWriter
 
-void BinWriter::raw32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    buf_.push_back(static_cast<char>((v >> shift) & 0xFF));
+BinWriter::BinWriter(std::string buffer) : buf_(std::move(buffer)) {
+  buf_.clear();
 }
 
-void BinWriter::raw64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buf_.push_back(static_cast<char>((v >> shift) & 0xFF));
-}
-
-void BinWriter::header(Tag tag, std::string_view name) {
-  buf_.push_back(static_cast<char>(tag));
-  raw32(static_cast<std::uint32_t>(name.size()));
-  buf_.append(name);
+char* BinWriter::record(Tag tag, std::string_view name,
+                        std::size_t valueBytes) {
+  const std::size_t at = buf_.size();
+  // One capacity check per record; std::string grows geometrically.
+  buf_.resize(at + 1 + 4 + name.size() + valueBytes);
+  char* p = buf_.data() + at;
+  *p++ = static_cast<char>(tag);
+  p = putLE(p, static_cast<std::uint32_t>(name.size()));
+  return std::copy(name.begin(), name.end(), p);
 }
 
 void BinWriter::u64(std::string_view name, std::uint64_t v) {
-  header(Tag::U64, name);
-  raw64(v);
+  putLE(record(Tag::U64, name, 8), v);
 }
 
 void BinWriter::i64(std::string_view name, std::int64_t v) {
-  header(Tag::I64, name);
-  raw64(static_cast<std::uint64_t>(v));
+  putLE(record(Tag::I64, name, 8), static_cast<std::uint64_t>(v));
 }
 
 void BinWriter::f64(std::string_view name, double v) {
-  header(Tag::F64, name);
-  raw64(std::bit_cast<std::uint64_t>(v));
+  putLE(record(Tag::F64, name, 8), std::bit_cast<std::uint64_t>(v));
 }
 
 void BinWriter::boolean(std::string_view name, bool v) {
-  header(Tag::Bool, name);
-  buf_.push_back(v ? 1 : 0);
+  *record(Tag::Bool, name, 1) = v ? 1 : 0;
 }
 
 void BinWriter::str(std::string_view name, std::string_view v) {
-  header(Tag::Str, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  buf_.append(v);
+  char* p = record(Tag::Str, name, 4 + v.size());
+  p = putLE(p, static_cast<std::uint32_t>(v.size()));
+  std::copy(v.begin(), v.end(), p);
 }
 
 void BinWriter::vecF64(std::string_view name, std::span<const double> v) {
-  header(Tag::VecF64, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  for (const double x : v) raw64(std::bit_cast<std::uint64_t>(x));
+  char* p = record(Tag::VecF64, name, 4 + v.size_bytes());
+  putBlock(putLE(p, static_cast<std::uint32_t>(v.size())), v);
 }
 
 void BinWriter::vecI64(std::string_view name,
                        std::span<const std::int64_t> v) {
-  header(Tag::VecI64, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  for (const std::int64_t x : v) raw64(static_cast<std::uint64_t>(x));
+  char* p = record(Tag::VecI64, name, 4 + v.size_bytes());
+  putBlock(putLE(p, static_cast<std::uint32_t>(v.size())), v);
 }
 
 void BinWriter::vecInt(std::string_view name, std::span<const int> v) {
-  header(Tag::VecI64, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  for (const int x : v) raw64(static_cast<std::uint64_t>(std::int64_t{x}));
+  char* p = record(Tag::VecI64, name, 4 + 8 * v.size());
+  p = putLE(p, static_cast<std::uint32_t>(v.size()));
+  for (const int x : v)
+    p = putLE(p, static_cast<std::uint64_t>(std::int64_t{x}));
 }
 
 void BinWriter::beginSection(std::string_view name) {
-  header(Tag::SectionBegin, name);
+  record(Tag::SectionBegin, name, 0);
   open_.emplace_back(name);
 }
 
 void BinWriter::endSection() {
   if (open_.empty())
     throw CheckpointError{"BinWriter::endSection with no open section"};
-  header(Tag::SectionEnd, open_.back());
+  record(Tag::SectionEnd, open_.back(), 0);
   open_.pop_back();
 }
 
@@ -134,6 +180,10 @@ std::string BinWriter::take() {
 
 // ---------------------------------------------------------------- BinReader
 
+void F64Block::copyTo(std::span<double> out) const noexcept {
+  getBlock(bytes_, out.first(std::min(out.size(), size())));
+}
+
 std::string_view BinReader::rawBytes(std::size_t n, std::string_view what) {
   if (bytes_.size() - pos_ < n)
     throw CheckpointError{"truncated checkpoint payload at offset " +
@@ -145,21 +195,11 @@ std::string_view BinReader::rawBytes(std::size_t n, std::string_view what) {
 }
 
 std::uint32_t BinReader::raw32(std::string_view what) {
-  const std::string_view b = rawBytes(4, what);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i]))
-         << (8 * i);
-  return v;
+  return getLE<std::uint32_t>(rawBytes(4, what).data());
 }
 
 std::uint64_t BinReader::raw64(std::string_view what) {
-  const std::string_view b = rawBytes(8, what);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-         << (8 * i);
-  return v;
+  return getLE<std::uint64_t>(rawBytes(8, what).data());
 }
 
 void BinReader::expectHeader(Tag tag, std::string_view name) {
@@ -206,38 +246,45 @@ std::string BinReader::str(std::string_view name) {
   return std::string{rawBytes(len, name)};
 }
 
-std::vector<double> BinReader::vecF64(std::string_view name) {
-  expectHeader(Tag::VecF64, name);
+std::string_view BinReader::vecBlock(Tag tag, std::string_view name) {
+  expectHeader(tag, name);
   const std::uint32_t count = raw32(name);
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(std::bit_cast<double>(raw64(name)));
+  // The whole block is bounds-checked before anything is sized from the
+  // count, so a corrupt count fails here instead of in an allocation.
+  return rawBytes(std::size_t{count} * 8, name);
+}
+
+F64Block BinReader::vecF64Block(std::string_view name) {
+  return F64Block{vecBlock(Tag::VecF64, name)};
+}
+
+std::vector<double> BinReader::vecF64(std::string_view name) {
+  const F64Block block = vecF64Block(name);
+  std::vector<double> out(block.size());
+  block.copyTo(out);
   return out;
 }
 
 std::vector<std::int64_t> BinReader::vecI64(std::string_view name) {
-  expectHeader(Tag::VecI64, name);
-  const std::uint32_t count = raw32(name);
-  std::vector<std::int64_t> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(static_cast<std::int64_t>(raw64(name)));
+  const std::string_view block = vecBlock(Tag::VecI64, name);
+  std::vector<std::int64_t> out(block.size() / 8);
+  getBlock(block, std::span{out});
   return out;
 }
 
 std::vector<int> BinReader::vecInt(std::string_view name) {
   const std::size_t at = pos_;
-  const std::vector<std::int64_t> wide = vecI64(name);
-  std::vector<int> out;
-  out.reserve(wide.size());
-  for (const std::int64_t v : wide) {
+  const std::string_view block = vecBlock(Tag::VecI64, name);
+  std::vector<int> out(block.size() / 8);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto v =
+        static_cast<std::int64_t>(getLE<std::uint64_t>(block.data() + 8 * i));
     if (v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max())
       throw CheckpointError{"checkpoint field '" + std::string{name} +
                             "' at offset " + std::to_string(at) +
                             " holds a value outside int range"};
-    out.push_back(static_cast<int>(v));
+    out[i] = static_cast<int>(v);
   }
   return out;
 }
@@ -286,20 +333,10 @@ std::vector<Token> tokenize(std::string_view bytes) {
     return out;
   };
   const auto get32 = [&](const char* what) {
-    const std::string_view b = need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    return v;
+    return getLE<std::uint32_t>(need(4, what).data());
   };
   const auto get64 = [&](const char* what) {
-    const std::string_view b = need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    return v;
+    return getLE<std::uint64_t>(need(8, what).data());
   };
   const auto joinPath = [&](std::string_view leaf) {
     std::string out;
@@ -375,11 +412,7 @@ std::vector<Token> tokenize(std::string_view bytes) {
         tok.value = '[';
         for (std::uint32_t i = 0; i < count; ++i) {
           if (i > 0) tok.value += ", ";
-          std::uint64_t v = 0;
-          for (int b = 0; b < 8; ++b)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(payload[i * 8 + b]))
-                 << (8 * b);
+          const auto v = getLE<std::uint64_t>(payload.data() + i * 8);
           tok.value += tag == Tag::VecF64
                            ? formatF64(std::bit_cast<double>(v))
                            : std::to_string(static_cast<std::int64_t>(v));

@@ -53,6 +53,12 @@ enum class Tag : std::uint8_t {
 /// fields in the same order, which the per-field name check enforces.
 class BinWriter {
  public:
+  BinWriter() = default;
+  /// Write into `buffer`'s storage: its contents are discarded but its
+  /// capacity is kept, so a writer rebuilt over the same buffer for every
+  /// checkpoint stops allocating once the buffer has reached payload size.
+  explicit BinWriter(std::string buffer);
+
   void u64(std::string_view name, std::uint64_t v);
   void i64(std::string_view name, std::int64_t v);
   void f64(std::string_view name, double v);
@@ -71,12 +77,28 @@ class BinWriter {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
-  void header(Tag tag, std::string_view name);
-  void raw32(std::uint32_t v);
-  void raw64(std::uint64_t v);
+  /// Append a record's tag and name plus `valueBytes` of room for its
+  /// value, with one capacity check; returns where the value goes.
+  char* record(Tag tag, std::string_view name, std::size_t valueBytes);
 
   std::string buf_;
   std::vector<std::string> open_;  // open section names, for error messages
+};
+
+/// The values of a VecF64 record, still encoded: bounds-checked as a whole
+/// when read, and decoded by copyTo() straight into the caller's storage.
+/// Views the reader's bytes, so it must not outlive them.
+class F64Block {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size() / 8; }
+  /// Decode into `out`, which should hold exactly size() doubles (any
+  /// excess is left untouched; a shorter span gets the leading values).
+  void copyTo(std::span<double> out) const noexcept;
+
+ private:
+  friend class BinReader;
+  explicit F64Block(std::string_view bytes) : bytes_(bytes) {}
+  std::string_view bytes_;
 };
 
 /// Deserializer over a payload produced by BinWriter. Every accessor
@@ -93,6 +115,8 @@ class BinReader {
   [[nodiscard]] bool boolean(std::string_view name);
   [[nodiscard]] std::string str(std::string_view name);
   [[nodiscard]] std::vector<double> vecF64(std::string_view name);
+  /// vecF64 without the vector: the caller decodes into its own storage.
+  [[nodiscard]] F64Block vecF64Block(std::string_view name);
   [[nodiscard]] std::vector<std::int64_t> vecI64(std::string_view name);
   /// Narrowing counterpart of BinWriter::vecInt; range-checks every element.
   [[nodiscard]] std::vector<int> vecInt(std::string_view name);
@@ -110,6 +134,8 @@ class BinReader {
   [[nodiscard]] std::uint32_t raw32(std::string_view what);
   [[nodiscard]] std::uint64_t raw64(std::string_view what);
   [[nodiscard]] std::string_view rawBytes(std::size_t n, std::string_view what);
+  /// Header, count and the count x 8 value bytes of a vector record.
+  [[nodiscard]] std::string_view vecBlock(Tag tag, std::string_view name);
 
   std::string_view bytes_;
   std::size_t pos_ = 0;

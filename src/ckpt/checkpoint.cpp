@@ -1,11 +1,17 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <span>
 
 #include "util/atomic_file.hpp"
 
@@ -13,34 +19,102 @@ namespace dike::ckpt {
 
 namespace {
 
-void append64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
+// magic(8) + version(4) + payload length(8) + checksum(8)
+constexpr std::size_t kHeaderSize = 28;
+using Header = std::array<char, kHeaderSize>;
+
+void put(char* at, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    at[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
-void append32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-}
-
-std::uint64_t read64(std::string_view bytes, std::size_t at) {
+std::uint64_t get(std::string_view bytes, std::size_t at, int width) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
+  for (int i = 0; i < width; ++i)
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
          << (8 * i);
   return v;
 }
 
-std::uint32_t read32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
-         << (8 * i);
-  return v;
+Header encodeHeader(std::string_view payload) {
+  Header h{};
+  std::copy(kCheckpointMagic.begin(), kCheckpointMagic.end(), h.data());
+  put(h.data() + 8, kCheckpointVersion, 4);
+  put(h.data() + 12, payload.size(), 8);
+  put(h.data() + 20, fnv1a64(payload), 8);
+  return h;
 }
 
-// magic(8) + version(4) + payload length(8) + checksum(8)
-constexpr std::size_t kHeaderSize = 28;
+/// Validate everything but the checksum. `head` holds the container's
+/// first min(size, kHeaderSize) bytes and `bodySize` counts the bytes after
+/// them. Returns the declared payload checksum.
+std::uint64_t checkHeader(std::string_view head, std::uint64_t bodySize) {
+  if (head.size() < kCheckpointMagic.size() ||
+      head.substr(0, kCheckpointMagic.size()) != kCheckpointMagic)
+    throw CheckpointError{
+        "not a Dike checkpoint (bad magic; expected a file written by "
+        "ckpt::writeCheckpointFile)"};
+  if (head.size() < kHeaderSize)
+    throw CheckpointError{"truncated checkpoint: " +
+                          std::to_string(head.size()) +
+                          " bytes is shorter than the " +
+                          std::to_string(kHeaderSize) + "-byte header"};
+  const auto version = static_cast<std::uint32_t>(get(head, 8, 4));
+  if (version != kCheckpointVersion)
+    throw CheckpointError{
+        "checkpoint format version " + std::to_string(version) +
+        " is not supported by this build (expects version " +
+        std::to_string(kCheckpointVersion) + "); nothing was restored"};
+  const std::uint64_t length = get(head, 12, 8);
+  if (bodySize < length)
+    throw CheckpointError{
+        "truncated checkpoint: header declares a " + std::to_string(length) +
+        "-byte payload but only " + std::to_string(bodySize) +
+        " bytes follow"};
+  if (bodySize > length)
+    throw CheckpointError{"corrupt checkpoint: " +
+                          std::to_string(bodySize - length) +
+                          " trailing bytes after the declared payload"};
+  return get(head, 20, 8);
+}
+
+void checkChecksum(std::string_view payload, std::uint64_t expected) {
+  const std::uint64_t actual = fnv1a64(payload);
+  if (actual == expected) return;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%016llx, expected %016llx",
+                static_cast<unsigned long long>(actual),
+                static_cast<unsigned long long>(expected));
+  throw CheckpointError{std::string{"corrupt checkpoint: payload checksum "} +
+                        buf + "; nothing was restored"};
+}
+
+/// Owns an open file descriptor.
+struct Fd {
+  int fd;
+  explicit Fd(int f) : fd(f) {}
+  ~Fd() {
+    if (fd >= 0) ::close(fd);
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+};
+
+/// Fill `out` from `fd`; false when the file ends first.
+bool readExact(int fd, std::span<char> out) {
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw CheckpointError{std::string{"failed reading checkpoint file ("} +
+                            std::strerror(errno) + ")"};
+    }
+    if (n == 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -54,64 +128,32 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
 }
 
 std::string encodeCheckpoint(std::string_view payload) {
+  const Header head = encodeHeader(payload);
   std::string out;
   out.reserve(kHeaderSize + payload.size());
-  out.append(kCheckpointMagic);
-  append32(out, kCheckpointVersion);
-  append64(out, payload.size());
-  append64(out, fnv1a64(payload));
+  out.append(head.data(), head.size());
   out.append(payload);
   return out;
 }
 
 std::string decodeCheckpoint(std::string_view bytes) {
-  if (bytes.size() < kCheckpointMagic.size() ||
-      bytes.substr(0, kCheckpointMagic.size()) != kCheckpointMagic)
-    throw CheckpointError{
-        "not a Dike checkpoint (bad magic; expected a file written by "
-        "ckpt::writeCheckpointFile)"};
-  if (bytes.size() < kHeaderSize)
-    throw CheckpointError{"truncated checkpoint: " +
-                          std::to_string(bytes.size()) +
-                          " bytes is shorter than the " +
-                          std::to_string(kHeaderSize) + "-byte header"};
-  const std::uint32_t version = read32(bytes, 8);
-  if (version != kCheckpointVersion)
-    throw CheckpointError{
-        "checkpoint format version " + std::to_string(version) +
-        " is not supported by this build (expects version " +
-        std::to_string(kCheckpointVersion) + "); nothing was restored"};
-  const std::uint64_t length = read64(bytes, 12);
-  if (bytes.size() - kHeaderSize < length)
-    throw CheckpointError{
-        "truncated checkpoint: header declares a " + std::to_string(length) +
-        "-byte payload but only " +
-        std::to_string(bytes.size() - kHeaderSize) + " bytes follow"};
-  if (bytes.size() - kHeaderSize > length)
-    throw CheckpointError{"corrupt checkpoint: " +
-                          std::to_string(bytes.size() - kHeaderSize - length) +
-                          " trailing bytes after the declared payload"};
-  const std::uint64_t expected = read64(bytes, 20);
-  const std::string_view payload = bytes.substr(kHeaderSize, length);
-  const std::uint64_t actual = fnv1a64(payload);
-  if (actual != expected) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%016llx, expected %016llx",
-                  static_cast<unsigned long long>(actual),
-                  static_cast<unsigned long long>(expected));
-    throw CheckpointError{
-        std::string{"corrupt checkpoint: payload checksum "} + buf +
-        "; nothing was restored"};
-  }
+  const std::string_view head =
+      bytes.substr(0, std::min(bytes.size(), kHeaderSize));
+  const std::uint64_t expected = checkHeader(head, bytes.size() - head.size());
+  const std::string_view payload = bytes.substr(kHeaderSize);
+  checkChecksum(payload, expected);
   return std::string{payload};
 }
 
 void writeCheckpointFile(const std::string& path, std::string_view payload) {
   // tmp + fsync + rename + parent-dir fsync: a kill -9 at any instruction
   // leaves either the previous checkpoint or the new one under `path`,
-  // never a torn file (the supervised-resume path depends on this).
+  // never a torn file (the supervised-resume path depends on this). The
+  // header goes out in front of the payload without joining the two.
+  const Header head = encodeHeader(payload);
+  const std::string_view parts[] = {{head.data(), head.size()}, payload};
   try {
-    util::writeFileAtomic(path, encodeCheckpoint(payload));
+    util::writeFileAtomic(path, parts);
   } catch (const std::exception& e) {
     throw CheckpointError{std::string{"cannot write checkpoint: "} +
                           e.what()};
@@ -119,15 +161,33 @@ void writeCheckpointFile(const std::string& path, std::string_view payload) {
 }
 
 std::string readCheckpointFile(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in)
+  const Fd file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (file.fd < 0)
     throw CheckpointError{"cannot open checkpoint file: " + path};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad())
-    throw CheckpointError{"failed reading checkpoint file: " + path};
+  struct stat st {};
+  if (::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode))
+    throw CheckpointError{"failed reading checkpoint file: " + path +
+                          " (not a regular file)"};
+  // The header is read on its own and checked against the file size, so
+  // the payload is sized once and read straight into the string returned.
   try {
-    return decodeCheckpoint(buffer.str());
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    Header head{};
+    const std::size_t headSize =
+        static_cast<std::size_t>(std::min<std::uint64_t>(size, kHeaderSize));
+    const std::span<char> headBytes{head.data(), headSize};
+    std::string payload;
+    if (readExact(file.fd, headBytes)) {
+      const std::uint64_t expected =
+          checkHeader({head.data(), headSize}, size - headSize);
+      payload.resize(static_cast<std::size_t>(size - headSize));
+      if (readExact(file.fd, payload)) {
+        checkChecksum(payload, expected);
+        return payload;
+      }
+    }
+    throw CheckpointError{"truncated checkpoint: the file shrank while it "
+                          "was being read"};
   } catch (const CheckpointError& e) {
     throw CheckpointError{path + ": " + e.what()};
   }

@@ -65,8 +65,7 @@ inline void save(BinWriter& w, std::string_view name,
                  const util::MovingMean& mm) {
   w.beginSection(name);
   w.u64("window", mm.window());
-  const std::vector<double> samples{mm.samples().begin(), mm.samples().end()};
-  w.vecF64("samples", samples);
+  w.vecF64("samples", mm.samples());
   w.f64("sum", mm.rawSum());
   w.endSection();
 }
@@ -83,10 +82,15 @@ inline void load(BinReader& r, std::string_view name, util::MovingMean& mm) {
         std::to_string(window) + " but this configuration uses " +
         std::to_string(mm.window()) +
         " — the checkpoint was taken under a different config"};
-  const std::vector<double> samples = r.vecF64("samples");
+  const F64Block samples = r.vecF64Block("samples");
+  if (samples.size() > mm.window())
+    throw CheckpointError{"checkpointed MovingMean '" + std::string{name} +
+                          "' holds " + std::to_string(samples.size()) +
+                          " samples, more than its window of " +
+                          std::to_string(mm.window())};
   const double sum = r.f64("sum");
   r.endSection();
-  mm.restore(samples, sum);
+  samples.copyTo(mm.restore(samples.size(), sum));
 }
 
 }  // namespace dike::ckpt

@@ -394,7 +394,7 @@ void Observer::resetClosedLoopState() {
     // Restart each window from the current effective estimate: the filter
     // forgets poisoned history without zeroing the capability map.
     for (std::size_t c = 0; c < coreBwWindow_.size(); ++c) {
-      coreBwWindow_[c] = util::MovingMean{config_.movingMeanWindow};
+      coreBwWindow_[c].reset();
       if (coreBwRaw_[c] > 0.0) coreBwWindow_[c].add(coreBwRaw_[c]);
     }
   }

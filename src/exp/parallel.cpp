@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -15,6 +14,7 @@
 #include "exp/replay.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace dike::exp {
@@ -71,22 +71,6 @@ std::uint64_t sweepFingerprint(std::span<const RunSpec> specs) {
   return ckpt::fnv1a64(util::JsonValue{std::move(encoded)}.dump());
 }
 
-namespace {
-
-void writeFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    if (!out)
-      throw std::runtime_error{"failed to write sweep state file: " + tmp};
-  }
-  std::filesystem::rename(tmp, path);
-}
-
-}  // namespace
-
 std::vector<RunMetrics> runWorkloadsParallel(std::span<const RunSpec> specs,
                                              int jobs,
                                              const std::string& stateFile) {
@@ -122,7 +106,8 @@ std::vector<RunMetrics> runWorkloadsParallel(std::span<const RunSpec> specs,
     util::JsonObject state;
     state["sweepFingerprint"] = fingerprint;
     state["completed"] = util::JsonValue{completed};
-    writeFileAtomic(stateFile, util::JsonValue{std::move(state)}.dump(2));
+    util::writeFileAtomic(stateFile,
+                          util::JsonValue{std::move(state)}.dump(2));
   };
 
   parallelFor(

@@ -581,6 +581,11 @@ RunMetrics RunSession::finish(const CheckpointOptions& opts) {
 
 std::string RunSession::checkpointPayload() const {
   ckpt::BinWriter w;
+  savePayload(w);
+  return w.take();
+}
+
+void RunSession::savePayload(ckpt::BinWriter& w) const {
   w.beginSection("run");
   w.str("config", runSpecToJson(spec_).dump());
   w.str("schedulerName", scheduler_->name());
@@ -600,11 +605,13 @@ std::string RunSession::checkpointPayload() const {
   w.boolean("hasQuantumStream", streamListener_ != nullptr);
   if (streamListener_) streamListener_->saveState(w);
   w.endSection();
-  return w.take();
 }
 
-void RunSession::writeCheckpoint(const std::string& path) const {
-  ckpt::writeCheckpointFile(path, checkpointPayload());
+void RunSession::writeCheckpoint(const std::string& path) {
+  ckpt::BinWriter w{std::move(payloadBuffer_)};
+  savePayload(w);
+  payloadBuffer_ = w.take();
+  ckpt::writeCheckpointFile(path, payloadBuffer_);
 }
 
 std::unique_ptr<RunSession> RunSession::restore(

@@ -100,8 +100,10 @@ class RunSession {
   [[nodiscard]] std::string checkpointPayload() const;
 
   /// checkpointPayload() wrapped in the versioned, checksummed container,
-  /// written atomically (tmp + rename).
-  void writeCheckpoint(const std::string& path) const;
+  /// written atomically (tmp + rename). The payload is encoded into a
+  /// buffer the session keeps, so rolling checkpoints stop allocating once
+  /// it has reached payload size.
+  void writeCheckpoint(const std::string& path);
 
   /// Rebuild a session from a checkpoint file: reconstructs the stack from
   /// the embedded RunSpec, then overwrites the mutable state. Throws
@@ -144,6 +146,9 @@ class RunSession {
   std::int64_t quantumIndex_ = 0;
   util::Tick nextQuantumAt_ = -1;  ///< < 0 until the first quantum
   std::unique_ptr<QuantumMetricsListener> streamListener_;
+  std::string payloadBuffer_;  ///< reused by writeCheckpoint
+
+  void savePayload(ckpt::BinWriter& w) const;
 };
 
 /// runWorkload with rolling checkpoints (no telemetry attachments).

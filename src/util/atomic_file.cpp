@@ -67,12 +67,18 @@ void fsyncParentDir(const std::string& path) {
 }  // namespace
 
 void writeFileAtomic(const std::string& path, std::string_view bytes) {
+  writeFileAtomic(path, std::span{&bytes, 1});
+}
+
+void writeFileAtomic(const std::string& path,
+                     std::span<const std::string_view> parts) {
   const std::string tmp = path + ".tmp";
   const int fd =
       openRetry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) fail("cannot open for writing", tmp);
   try {
-    writeAll(fd, bytes.data(), bytes.size(), tmp);
+    for (const std::string_view bytes : parts)
+      writeAll(fd, bytes.data(), bytes.size(), tmp);
     fsyncRetry(fd, tmp);
   } catch (...) {
     closeRetry(fd);

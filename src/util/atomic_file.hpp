@@ -13,6 +13,7 @@
 //     the whole file is not).
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -23,6 +24,12 @@ namespace dike::util {
 /// std::runtime_error with the path on any failure (the tmp file is
 /// removed best-effort).
 void writeFileAtomic(const std::string& path, std::string_view bytes);
+
+/// writeFileAtomic of the concatenation of `parts`, written in order
+/// without first joining them into one buffer (a small header in front of
+/// a large body, say).
+void writeFileAtomic(const std::string& path,
+                     std::span<const std::string_view> parts);
 
 /// Append-only file handle for crash-trimmable streams. Writes go straight
 /// to the fd (O_APPEND), so a kill loses at most the bytes since the last

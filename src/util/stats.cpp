@@ -91,16 +91,29 @@ double maxOf(std::span<const double> xs) noexcept {
   return *std::max_element(xs.begin(), xs.end());
 }
 
+namespace {
+
+/// Slots a MovingMean reserves on first use: its whole window (plus the
+/// transient newest sample) unless the window is implausibly large, in
+/// which case the vector grows geometrically instead.
+std::size_t firstReserve(std::size_t window) noexcept {
+  constexpr std::size_t kMaxUpFront = 256;
+  return std::min(window, kMaxUpFront) + 1;
+}
+
+}  // namespace
+
 MovingMean::MovingMean(std::size_t window) : window_(window) {
   if (window_ == 0) throw std::invalid_argument{"MovingMean window must be > 0"};
 }
 
 void MovingMean::add(double x) {
+  if (samples_.capacity() == 0) samples_.reserve(firstReserve(window_));
   samples_.push_back(x);
   sum_ += x;
   if (samples_.size() > window_) {
     sum_ -= samples_.front();
-    samples_.pop_front();
+    samples_.erase(samples_.begin());
   }
 }
 
@@ -109,12 +122,17 @@ void MovingMean::reset() noexcept {
   sum_ = 0.0;
 }
 
-void MovingMean::restore(std::span<const double> samples, double sum) {
-  if (samples.size() > window_)
+std::span<double> MovingMean::restore(std::size_t count, double sum) {
+  if (count > window_)
     throw std::invalid_argument{
         "MovingMean::restore: more samples than the window holds"};
-  samples_.assign(samples.begin(), samples.end());
+  // An empty window stays unallocated; a fed one gets its full capacity
+  // now, so the next add() does not reallocate.
+  if (count > 0 && samples_.capacity() == 0)
+    samples_.reserve(firstReserve(window_));
+  samples_.assign(count, 0.0);
   sum_ = sum;
+  return samples_;
 }
 
 double MovingMean::value() const noexcept {

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -68,6 +67,10 @@ class OnlineStats {
 
 /// Fixed-capacity sliding-window mean. Used for the per-core CoreBW moving
 /// mean the paper's Observer maintains (Section III-A).
+///
+/// Samples sit oldest-first in one contiguous vector that allocates nothing
+/// until the first add() (then window + 1 slots, once), so a window that is
+/// never fed costs no heap memory. Eviction shifts at most `window` doubles.
 class MovingMean {
  public:
   explicit MovingMean(std::size_t window);
@@ -82,20 +85,24 @@ class MovingMean {
   [[nodiscard]] double value() const noexcept;
   [[nodiscard]] double last() const noexcept;
 
-  /// Window contents for checkpointing. The running sum is serialized too:
-  /// it accumulates add/subtract round-off over the window's history, so
-  /// recomputing it from the samples would not be bit-exact.
-  [[nodiscard]] const std::deque<double>& samples() const noexcept {
+  /// Window contents, oldest first, for checkpointing. The running sum is
+  /// serialized too: it accumulates add/subtract round-off over the
+  /// window's history, so recomputing it from the samples would not be
+  /// bit-exact.
+  [[nodiscard]] std::span<const double> samples() const noexcept {
     return samples_;
   }
   [[nodiscard]] double rawSum() const noexcept { return sum_; }
-  /// Restore a previously captured window verbatim. Throws
-  /// std::invalid_argument when more samples than the window are supplied.
-  void restore(std::span<const double> samples, double sum);
+  /// Restore a previously captured window verbatim: resizes the window to
+  /// `count` samples, sets the running sum, and returns the sample slots
+  /// (oldest first) for the caller to fill, so a decoder writes straight
+  /// into them. Throws std::invalid_argument when `count` exceeds the
+  /// window.
+  [[nodiscard]] std::span<double> restore(std::size_t count, double sum);
 
  private:
   std::size_t window_;
-  std::deque<double> samples_;
+  std::vector<double> samples_;
   double sum_ = 0.0;
 };
 

@@ -112,6 +112,44 @@ TEST(BinArchive, TruncatedPayloadThrowsNotReads) {
   }
 }
 
+// A vector count saturated to 0xFFFFFFFF (bit rot in a length prefix) must
+// fail the bounds check as a CheckpointError before anything is sized from
+// it, never as std::bad_alloc from a 32 GiB allocation.
+TEST(BinArchive, SaturatedVectorCountThrowsCheckpointError) {
+  const std::vector<double> f64s{1.0, 2.0};
+  const std::vector<std::int64_t> i64s{1, 2};
+  BinWriter w;
+  w.vecF64("f", f64s);
+  w.vecI64("i", i64s);
+  w.vecI64("n", i64s);
+  w.vecF64("m", f64s);
+  std::string payload = w.take();
+  // Each record is tag(1) + name length(4) + 1-byte name + count(4) +
+  // 2 x 8 value bytes; the count sits 6 bytes into its record.
+  constexpr std::size_t kRecord = 1 + 4 + 1 + 4 + 16;
+  for (std::size_t rec = 0; rec < 4; ++rec)
+    for (std::size_t b = 0; b < 4; ++b)
+      payload[rec * kRecord + 6 + b] = static_cast<char>(0xFF);
+  const auto expectRejected = [](auto&& read) {
+    try {
+      read();
+      ADD_FAILURE() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string{e.what()}.find("truncated"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (std::size_t rec = 0; rec < 4; ++rec) {
+    BinReader r{std::string_view{payload}.substr(rec * kRecord)};
+    switch (rec) {
+      case 0: expectRejected([&r] { (void)r.vecF64("f"); }); break;
+      case 1: expectRejected([&r] { (void)r.vecI64("i"); }); break;
+      case 2: expectRejected([&r] { (void)r.vecInt("n"); }); break;
+      default: expectRejected([&r] { (void)r.vecF64Block("m"); }); break;
+    }
+  }
+}
+
 TEST(BinArchive, UnbalancedSectionThrowsOnTake) {
   BinWriter w;
   w.beginSection("open");

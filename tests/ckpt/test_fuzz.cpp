@@ -133,6 +133,15 @@ TEST(CheckpointFuzz, MutatedPayloadsNeverCrashTheArchiveReader) {
       (void)r.u64("seed");
       (void)r.i64("quantum");
       (void)r.str("scheduler");
+      r.beginSection("machine");
+      (void)r.f64("now");
+      (void)r.boolean("heterogeneous");
+      (void)r.vecF64("cum");
+      (void)r.vecI64("ids");
+      (void)r.vecInt("cores");
+      r.endSection();
+      r.endSection();
+      r.expectEnd();
     } catch (const ckpt::CheckpointError&) {
       // expected for most mutations
     }

@@ -84,6 +84,37 @@ if(NOT err MATCHES "checkpoint-every")
   message(FATAL_ERROR "malformed-flag error lacks the flag name: ${err}")
 endif()
 
+# Both single-run paths carry no telemetry: its flags must be rejected
+# with the flag's name, never silently dropped.
+foreach(flag --telemetry --trace-out --quantum-metrics --events-csv
+             --registry-out --live-metrics)
+  if(flag STREQUAL "--telemetry")
+    set(value "")
+  elseif(flag STREQUAL "--live-metrics")
+    set(value 0)
+  else()
+    set(value "${WORK_DIR}/unwanted.out")
+  endif()
+  execute_process(
+    COMMAND "${DIKE_RUN}" "${CONFIG}" --checkpoint-out "${WORK_DIR}/y.ckpt"
+            ${flag} ${value}
+    RESULT_VARIABLE code ERROR_VARIABLE err OUTPUT_QUIET)
+  if(code EQUAL 0 OR NOT err MATCHES "${flag}.*--checkpoint-out")
+    message(FATAL_ERROR
+            "dike_run --checkpoint-out did not reject ${flag} (exit ${code}): ${err}")
+  endif()
+  execute_process(
+    COMMAND "${DIKE_RUN}" --resume-from "${CKPT_A}" ${flag} ${value}
+    RESULT_VARIABLE code ERROR_VARIABLE err OUTPUT_QUIET)
+  if(code EQUAL 0 OR NOT err MATCHES "${flag}.*--resume-from")
+    message(FATAL_ERROR
+            "dike_run --resume-from did not reject ${flag} (exit ${code}): ${err}")
+  endif()
+endforeach()
+if(EXISTS "${WORK_DIR}/y.ckpt" OR EXISTS "${WORK_DIR}/unwanted.out")
+  message(FATAL_ERROR "a rejected single-run invocation still wrote output")
+endif()
+
 file(WRITE "${WORK_DIR}/garbage.ckpt" "DIKECKPT but not really a checkpoint")
 execute_process(
   COMMAND "${DIKE_RUN}" --resume-from "${WORK_DIR}/garbage.ckpt"

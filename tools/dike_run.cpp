@@ -117,6 +117,23 @@ dike::exp::CheckpointOptions checkpointOptions(const dike::util::CliArgs& args) 
   return opts;
 }
 
+/// The single-run paths (--checkpoint-out, --resume-from) run one
+/// exp::RunSession, which carries no telemetry attachments and produces no
+/// grid. Flags only the grid run honours are rejected there, never
+/// silently dropped.
+void rejectGridOnlyFlags(const dike::util::CliArgs& args, const char* mode) {
+  static constexpr const char* kGridOnly[] = {
+      "telemetry",     "trace-out",    "trace-capacity", "quantum-metrics",
+      "events-csv",    "registry-out", "live-metrics",   "live-port-file",
+      "live-hold-ms",  "csv",          "sweep-state",    "jobs"};
+  for (const char* flag : kGridOnly)
+    if (args.has(flag))
+      throw std::runtime_error{std::string{"--"} + flag +
+                               " is not supported with " + mode +
+                               ": a checkpointed run produces only its "
+                               "single-run report (--json)"};
+}
+
 /// Emit the final single-run report (stdout, plus --json when given). The
 /// JSON encoding is deterministic, so an uninterrupted run and a resumed
 /// run of the same spec print byte-identical reports.
@@ -211,6 +228,7 @@ int main(int argc, char** argv) {
   // report — byte-identical to the uninterrupted run's report.
   if (const auto ckptPath = args.get("resume-from")) {
     try {
+      rejectGridOnlyFlags(args, "--resume-from");
       printSingleRunReport(
           dike::exp::resumeWorkload(*ckptPath, checkpointOptions(args),
                                     decideJobsFlag(args)),
@@ -300,6 +318,7 @@ int main(int argc, char** argv) {
     // deterministic report instead of the grid. Resume it with
     // --resume-from to reproduce the uninterrupted report byte for byte.
     if (args.has("checkpoint-out")) {
+      rejectGridOnlyFlags(args, "--checkpoint-out");
       if (config.workloadIds.empty() || config.kinds.empty())
         throw std::runtime_error{
             "config selects no workloads or schedulers"};
