@@ -90,6 +90,7 @@ class BinWriter {
 /// Views the reader's bytes, so it must not outlive them.
 class F64Block {
  public:
+  F64Block() = default;
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size() / 8; }
   /// Decode into `out`, which should hold exactly size() doubles (any
   /// excess is left untouched; a shorter span gets the leading values).
@@ -124,10 +125,11 @@ class BinReader {
   void beginSection(std::string_view name);
   void endSection();
 
-  [[nodiscard]] bool atEnd() const noexcept { return pos_ >= bytes_.size(); }
   /// Throws when payload bytes remain unconsumed (schema drift guard).
   void expectEnd() const;
-  [[nodiscard]] std::size_t offset() const noexcept { return pos_; }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
+  }
 
  private:
   void expectHeader(Tag tag, std::string_view name);

@@ -1,96 +1,71 @@
-// Archive adapters for the util-layer stateful types (RNG streams and
-// statistics accumulators). These capture *exact* internal state — raw
-// xoshiro words, the Box-Muller spare, Welford accumulators, moving-window
-// running sums — because all of it is path dependent: re-deriving any of it
-// from observable values would break bit-exact resume.
+// Field lists for the util-layer stateful types (RNG streams and statistics
+// accumulators). These capture *exact* internal state — raw xoshiro words,
+// the Box-Muller spare, Welford accumulators, moving-window running sums —
+// because all of it is path dependent: re-deriving any of it from
+// observable values would break bit-exact resume. A class lists one of
+// these as `ar.io("rng", rng_)`; each becomes a section of its own.
 #pragma once
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace dike::ckpt {
 
-inline void save(BinWriter& w, std::string_view name, const util::Rng& rng) {
-  const util::Rng::State s = rng.state();
-  w.beginSection(name);
-  w.u64("s0", s.s[0]);
-  w.u64("s1", s.s[1]);
-  w.u64("s2", s.s[2]);
-  w.u64("s3", s.s[3]);
-  w.f64("spare", s.spare);
-  w.boolean("haveSpare", s.haveSpare);
-  w.endSection();
+template <class Ar>
+void fields(Ar& ar, util::Rng& rng) {
+  util::Rng::State s = rng.state();
+  ar.io("s0", s.s[0]);
+  ar.io("s1", s.s[1]);
+  ar.io("s2", s.s[2]);
+  ar.io("s3", s.s[3]);
+  ar.io("spare", s.spare);
+  ar.io("haveSpare", s.haveSpare);
+  if constexpr (Ar::kLoading) rng.setState(s);
 }
 
-inline void load(BinReader& r, std::string_view name, util::Rng& rng) {
-  util::Rng::State s;
-  r.beginSection(name);
-  s.s[0] = r.u64("s0");
-  s.s[1] = r.u64("s1");
-  s.s[2] = r.u64("s2");
-  s.s[3] = r.u64("s3");
-  s.spare = r.f64("spare");
-  s.haveSpare = r.boolean("haveSpare");
-  r.endSection();
-  rng.setState(s);
-}
-
-inline void save(BinWriter& w, std::string_view name,
-                 const util::OnlineStats& stats) {
-  const util::OnlineStats::State s = stats.state();
-  w.beginSection(name);
-  w.u64("n", s.n);
-  w.f64("mean", s.mean);
-  w.f64("m2", s.m2);
-  w.f64("min", s.min);
-  w.f64("max", s.max);
-  w.endSection();
-}
-
-inline void load(BinReader& r, std::string_view name,
-                 util::OnlineStats& stats) {
-  util::OnlineStats::State s;
-  r.beginSection(name);
-  s.n = r.u64("n");
-  s.mean = r.f64("mean");
-  s.m2 = r.f64("m2");
-  s.min = r.f64("min");
-  s.max = r.f64("max");
-  r.endSection();
-  stats.setState(s);
-}
-
-inline void save(BinWriter& w, std::string_view name,
-                 const util::MovingMean& mm) {
-  w.beginSection(name);
-  w.u64("window", mm.window());
-  w.vecF64("samples", mm.samples());
-  w.f64("sum", mm.rawSum());
-  w.endSection();
+template <class Ar>
+void fields(Ar& ar, util::OnlineStats& stats) {
+  util::OnlineStats::State s = stats.state();
+  ar.io("n", s.n);
+  ar.io("mean", s.mean);
+  ar.io("m2", s.m2);
+  ar.io("min", s.min);
+  ar.io("max", s.max);
+  if constexpr (Ar::kLoading) stats.setState(s);
 }
 
 /// The MovingMean must already be constructed with its configured window —
 /// window size is configuration, not state — and the checkpointed window
-/// must agree, else the configs differ and the restore refuses.
-inline void load(BinReader& r, std::string_view name, util::MovingMean& mm) {
-  r.beginSection(name);
-  const std::uint64_t window = r.u64("window");
-  if (window != mm.window())
-    throw CheckpointError{
-        "checkpointed MovingMean '" + std::string{name} + "' has window " +
-        std::to_string(window) + " but this configuration uses " +
-        std::to_string(mm.window()) +
-        " — the checkpoint was taken under a different config"};
-  const F64Block samples = r.vecF64Block("samples");
-  if (samples.size() > mm.window())
-    throw CheckpointError{"checkpointed MovingMean '" + std::string{name} +
-                          "' holds " + std::to_string(samples.size()) +
-                          " samples, more than its window of " +
-                          std::to_string(mm.window())};
-  const double sum = r.f64("sum");
-  r.endSection();
-  samples.copyTo(mm.restore(samples.size(), sum));
+/// must agree, else the configs differ and the restore refuses. A load
+/// decodes the samples straight into the window's storage, which it can
+/// size only once the sum that follows them has been read.
+template <class Ar>
+void fields(Ar& ar, util::MovingMean& mm) {
+  ar.expect("window", std::uint64_t{mm.window()});
+  std::conditional_t<Ar::kLoading, F64Block, std::span<const double>> samples;
+  if constexpr (!Ar::kLoading) samples = mm.samples();
+  double sum = mm.rawSum();
+  ar.io("samples", samples);
+  ar.io("sum", sum);
+  if constexpr (Ar::kLoading) {
+    if (samples.size() > mm.window())
+      throw CheckpointError{"checkpointed MovingMean holds " +
+                            std::to_string(samples.size()) +
+                            " samples, more than its window of " +
+                            std::to_string(mm.window())};
+    samples.copyTo(mm.restore(samples.size(), sum));
+  }
+}
+
+template <class T>
+void save(BinWriter& w, std::string_view name, const T& value) {
+  Writer{w}.io(name, value);
+}
+
+template <class T>
+void load(BinReader& r, std::string_view name, T& value) {
+  Reader{r}.io(name, value);
 }
 
 }  // namespace dike::ckpt

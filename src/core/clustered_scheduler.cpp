@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/task_pool.hpp"
@@ -82,6 +82,10 @@ void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
     clusterOfCore_[static_cast<std::size_t>(c)] = static_cast<int>(
         static_cast<std::int64_t>(c) * clusterCount_ / coreCount);
   }
+  buildClusters();
+}
+
+void ClusteredDikeScheduler::buildClusters() {
   computeSpans();
   clusters_.clear();
   clusters_.reserve(static_cast<std::size_t>(clusterCount_));
@@ -357,80 +361,63 @@ void ClusteredDikeScheduler::refreshAggregates(bool anyActed) {
   totalSwaps_ = swaps;
 }
 
-void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
+template <class Ar>
+void ClusteredDikeScheduler::fields(Ar& ar) {
   // Flat mode writes exactly the base layout: a flat checkpoint and a
   // 1-cluster checkpoint are interchangeable (byte-identical).
-  DikeScheduler::saveExtraState(w);
+  DikeScheduler::fields(ar);
   if (flatMode()) return;
-  w.beginSection("clustered");
-  w.i64("clusterCount", clusterCount_);
-  w.vecInt("clusterOfCore", clusterOfCore_);
-  w.i64("quantaSinceRebalance", quantaSinceRebalance_);
-  w.i64("imbalanceStreak", imbalanceStreak_);
-  w.i64("rebalanceMoves", rebalanceMoves_);
-  w.endSection();
+  ar.section("clustered", [&] {
+    ar.io("clusterCount", clusterCount_);
+    ar.io("clusterOfCore", clusterOfCore_);
+    ar.io("quantaSinceRebalance", quantaSinceRebalance_);
+    ar.io("imbalanceStreak", imbalanceStreak_);
+    ar.io("rebalanceMoves", rebalanceMoves_);
+  });
+  if constexpr (Ar::kLoading) {
+    checkRestoredGeometry();
+    buildClusters();
+  }
   for (int k = 0; k < clusterCount_; ++k) {
-    w.beginSection("cluster" + std::to_string(k));
-    clusters_[static_cast<std::size_t>(k)]->saveState(w);
-    w.endSection();
+    // Each instance's whole "scheduler" section, policy name included.
+    sched::Scheduler& cluster = *clusters_[static_cast<std::size_t>(k)];
+    ar.section("cluster" + std::to_string(k), [&] { ar.nested(cluster); });
   }
 }
 
-void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
-  DikeScheduler::loadExtraState(r);
-  if (flatMode()) return;
-  r.beginSection("clustered");
-  const int count = util::checkedInt<ckpt::CheckpointError>(
-      r.i64("clusterCount"), "clustered checkpoint: clusterCount");
-  std::vector<int> clusterOfCore = r.vecInt("clusterOfCore");
-  const int quantaSince = util::checkedInt<ckpt::CheckpointError>(
-      r.i64("quantaSinceRebalance"),
-      "clustered checkpoint: quantaSinceRebalance");
-  const int streak = util::checkedInt<ckpt::CheckpointError>(
-      r.i64("imbalanceStreak"), "clustered checkpoint: imbalanceStreak");
-  const std::int64_t moves = r.i64("rebalanceMoves");
-  r.endSection();
-  if (count < 0 || (count == 0) != clusterOfCore.empty())
+void ClusteredDikeScheduler::checkRestoredGeometry() const {
+  if (clusterCount_ < 0 || (clusterCount_ == 0) != clusterOfCore_.empty())
     throw ckpt::CheckpointError{
         "clustered checkpoint: inconsistent cluster geometry"};
   // resolveGeometry only ever builds clusters 0..count-1 as ascending,
   // contiguous, non-empty runs of cores: the map starts at 0, steps by 0
   // or 1, and ends at count-1. Any other map is a corrupt file (and the
   // per-cluster core spans are exact only for this shape).
-  for (std::size_t c = 0; c < clusterOfCore.size(); ++c) {
-    const int expected = c == 0 ? 0 : clusterOfCore[c - 1];
-    const int k = clusterOfCore[c];
+  for (std::size_t c = 0; c < clusterOfCore_.size(); ++c) {
+    const int expected = c == 0 ? 0 : clusterOfCore_[c - 1];
+    const int k = clusterOfCore_[c];
     if (k != expected && (c == 0 || k != expected + 1))
       throw ckpt::CheckpointError{
           "clustered checkpoint: clusterOfCore is not one contiguous run per "
           "cluster in ascending order"};
   }
-  if (!clusterOfCore.empty() && clusterOfCore.back() != count - 1)
+  if (!clusterOfCore_.empty() && clusterOfCore_.back() != clusterCount_ - 1)
     throw ckpt::CheckpointError{
         "clustered checkpoint: clusterOfCore does not cover clusters 0.." +
-        std::to_string(count - 1)};
+        std::to_string(clusterCount_ - 1)};
+}
 
-  // Rebuild the per-cluster instances from the serialized geometry, then
-  // restore each one; a schema failure inside cluster j leaves this object
-  // with fewer restored clusters, but the thrown error aborts the whole
-  // scheduler restore anyway (Scheduler::loadState propagates).
-  clusterCount_ = count;
-  clusterOfCore_ = std::move(clusterOfCore);
-  computeSpans();
-  quantaSinceRebalance_ = quantaSince;
-  imbalanceStreak_ = streak;
-  rebalanceMoves_ = moves;
-  clusters_.clear();
-  clusterSamples_.clear();
-  clusters_.reserve(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k)
-    clusters_.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
-  clusterSamples_.resize(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k) {
-    r.beginSection("cluster" + std::to_string(k));
-    clusters_[static_cast<std::size_t>(k)]->loadState(r);
-    r.endSection();
-  }
+void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
+  ckpt::writeFields(w, *this);
+}
+
+void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
+  // Restore into a scheduler built from the same configuration, keeping
+  // this one's trace sink; the geometry and the per-cluster instances come
+  // from the checkpoint.
+  ClusteredDikeScheduler fresh{config_};
+  fresh.decisionTrace_ = decisionTrace_;
+  *this = ckpt::readFields(r, std::move(fresh));
 }
 
 }  // namespace dike::core

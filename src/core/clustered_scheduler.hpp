@@ -90,6 +90,13 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   void loadExtraState(ckpt::BinReader& r) override;
 
  private:
+  friend struct ckpt::Access;
+  /// The base layout, then the geometry, rebalancer and per-cluster
+  /// instances (ckpt/fields.hpp).
+  template <class Ar>
+  void fields(Ar& ar);
+  /// Throw unless the restored geometry is one the scheduler could build.
+  void checkRestoredGeometry() const;
   /// White-box seam for the rebalance-cadence regression tests (the
   /// warmup early-return is unreachable through onQuantum, which always
   /// observes before rebalancing).
@@ -100,6 +107,9 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   }
   [[nodiscard]] DikeConfig clusterConfig() const;
   void resolveGeometry(int coreCount);
+  /// Rebuild clusterBegin_ from clusterOfCore_ and one fresh instance and
+  /// sample buffer per cluster.
+  void buildClusters();
   /// Rebuild clusterBegin_ from clusterOfCore_.
   void computeSpans();
   void scatterSample(const sched::SchedulerView& view);

@@ -14,6 +14,7 @@
 namespace dike::ckpt {
 class BinWriter;
 class BinReader;
+struct Access;
 }  // namespace dike::ckpt
 
 namespace dike::core {
@@ -74,6 +75,11 @@ class Decider {
   void loadState(ckpt::BinReader& r);
 
  private:
+  friend struct ckpt::Access;
+  /// The checkpointed state, in payload order (ckpt/fields.hpp).
+  template <class Ar>
+  void fields(Ar& ar);
+
   [[nodiscard]] util::Tick cooldownWindow(util::Tick quantumTicks) const;
 
   struct FailureState {

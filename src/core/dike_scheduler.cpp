@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/types.hpp"
@@ -445,126 +445,48 @@ void DikeScheduler::migrateToFreeCores(sched::SchedulerView& view,
   }
 }
 
+template <class Ar>
+void DikeScheduler::fields(Ar& ar) {
+  ar.io("swapSize", params_.swapSize);
+  ar.io("quantaLengthMs", params_.quantaLengthMs);
+  ar.io("quantumIndex", quantumIndex_);
+  ar.io("totalSwaps", totalSwaps_);
+  ar.section("lastStats", [&] {
+    ar.io("quantumIndex", lastStats_.quantumIndex);
+    ar.io("unfairness", lastStats_.unfairness);
+    ar.io("acted", lastStats_.acted);
+    ar.io("pairsConsidered", lastStats_.pairsConsidered);
+    ar.io("pairsRejectedCooldown", lastStats_.pairsRejectedCooldown);
+    ar.io("pairsRejectedProfit", lastStats_.pairsRejectedProfit);
+    ar.io("swapsExecuted", lastStats_.swapsExecuted);
+    ar.io("swapsFailed", lastStats_.swapsFailed);
+    ar.io("migrationsFailed", lastStats_.migrationsFailed);
+    ar.io("fallbackActive", lastStats_.fallbackActive);
+    ar.io("paramsSwapSize", lastStats_.params.swapSize);
+    ar.io("paramsQuantaLengthMs", lastStats_.params.quantaLengthMs);
+    ar.io("workloadType", lastStats_.workloadType);
+  });
+  ar.io("totals", totals_);
+  ar.io("faultsActive", faultsActive_);
+  ar.io("fairnessStallStreak", fairnessStallStreak_);
+  ar.io("fallbackLeft", fallbackLeft_);
+  ar.nested(observer_);
+  ar.nested(decider_);
+  ar.nested(tracker_);
+}
+
+DIKE_CKPT_FIELDS(DikeScheduler);
+
 void DikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  w.i64("swapSize", params_.swapSize);
-  w.i64("quantaLengthMs", params_.quantaLengthMs);
-  w.i64("quantumIndex", quantumIndex_);
-  w.i64("totalSwaps", totalSwaps_);
-  w.beginSection("lastStats");
-  w.i64("quantumIndex", lastStats_.quantumIndex);
-  w.f64("unfairness", lastStats_.unfairness);
-  w.boolean("acted", lastStats_.acted);
-  w.i64("pairsConsidered", lastStats_.pairsConsidered);
-  w.i64("pairsRejectedCooldown", lastStats_.pairsRejectedCooldown);
-  w.i64("pairsRejectedProfit", lastStats_.pairsRejectedProfit);
-  w.i64("swapsExecuted", lastStats_.swapsExecuted);
-  w.i64("swapsFailed", lastStats_.swapsFailed);
-  w.i64("migrationsFailed", lastStats_.migrationsFailed);
-  w.boolean("fallbackActive", lastStats_.fallbackActive);
-  w.i64("paramsSwapSize", lastStats_.params.swapSize);
-  w.i64("paramsQuantaLengthMs", lastStats_.params.quantaLengthMs);
-  w.i64("workloadType", static_cast<std::int64_t>(lastStats_.workloadType));
-  w.endSection();
-  w.beginSection("totals");
-  w.i64("quanta", totals_.quanta);
-  w.i64("actedQuanta", totals_.actedQuanta);
-  w.i64("pairsConsidered", totals_.pairsConsidered);
-  w.i64("rejectedCooldown", totals_.rejectedCooldown);
-  w.i64("rejectedProfit", totals_.rejectedProfit);
-  w.i64("swapsExecuted", totals_.swapsExecuted);
-  w.i64("swapsFailed", totals_.swapsFailed);
-  w.i64("migrationsFailed", totals_.migrationsFailed);
-  w.i64("fallbackQuanta", totals_.fallbackQuanta);
-  w.i64("fallbackEngagements", totals_.fallbackEngagements);
-  w.i64("divergenceResets", totals_.divergenceResets);
-  w.endSection();
-  w.boolean("faultsActive", faultsActive_);
-  w.i64("fairnessStallStreak", fairnessStallStreak_);
-  w.i64("fallbackLeft", fallbackLeft_);
-  observer_.saveState(w);
-  decider_.saveState(w);
-  tracker_.saveState(w);
+  ckpt::writeFields(w, *this);
 }
 
 void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
-  // All int-typed fields restore through checked narrowing: a corrupt or
-  // wildly-scaled checkpoint must fail the load with a typed error instead
-  // of silently wrapping a counter.
-  const auto asInt = [](std::int64_t v, const char* what) {
-    return util::checkedInt<ckpt::CheckpointError>(v, what);
-  };
-  DikeParams params;
-  params.swapSize = asInt(r.i64("swapSize"), "dike checkpoint: swapSize");
-  params.quantaLengthMs =
-      asInt(r.i64("quantaLengthMs"), "dike checkpoint: quantaLengthMs");
-  const std::int64_t quantumIndex = r.i64("quantumIndex");
-  const std::int64_t totalSwaps = r.i64("totalSwaps");
-  QuantumDecisionStats lastStats;
-  r.beginSection("lastStats");
-  lastStats.quantumIndex = r.i64("quantumIndex");
-  lastStats.unfairness = r.f64("unfairness");
-  lastStats.acted = r.boolean("acted");
-  lastStats.pairsConsidered =
-      asInt(r.i64("pairsConsidered"), "dike checkpoint: pairsConsidered");
-  lastStats.pairsRejectedCooldown = asInt(
-      r.i64("pairsRejectedCooldown"), "dike checkpoint: pairsRejectedCooldown");
-  lastStats.pairsRejectedProfit = asInt(
-      r.i64("pairsRejectedProfit"), "dike checkpoint: pairsRejectedProfit");
-  lastStats.swapsExecuted =
-      asInt(r.i64("swapsExecuted"), "dike checkpoint: swapsExecuted");
-  lastStats.swapsFailed =
-      asInt(r.i64("swapsFailed"), "dike checkpoint: swapsFailed");
-  lastStats.migrationsFailed =
-      asInt(r.i64("migrationsFailed"), "dike checkpoint: migrationsFailed");
-  lastStats.fallbackActive = r.boolean("fallbackActive");
-  lastStats.params.swapSize =
-      asInt(r.i64("paramsSwapSize"), "dike checkpoint: paramsSwapSize");
-  lastStats.params.quantaLengthMs = asInt(
-      r.i64("paramsQuantaLengthMs"), "dike checkpoint: paramsQuantaLengthMs");
-  lastStats.workloadType = static_cast<WorkloadType>(r.i64("workloadType"));
-  r.endSection();
-  DecisionTotals totals;
-  r.beginSection("totals");
-  totals.quanta = r.i64("quanta");
-  totals.actedQuanta = r.i64("actedQuanta");
-  totals.pairsConsidered = r.i64("pairsConsidered");
-  totals.rejectedCooldown = r.i64("rejectedCooldown");
-  totals.rejectedProfit = r.i64("rejectedProfit");
-  totals.swapsExecuted = r.i64("swapsExecuted");
-  totals.swapsFailed = r.i64("swapsFailed");
-  totals.migrationsFailed = r.i64("migrationsFailed");
-  totals.fallbackQuanta = r.i64("fallbackQuanta");
-  totals.fallbackEngagements = r.i64("fallbackEngagements");
-  totals.divergenceResets = r.i64("divergenceResets");
-  r.endSection();
-  const bool faultsActive = r.boolean("faultsActive");
-  const int fairnessStallStreak = asInt(
-      r.i64("fairnessStallStreak"), "dike checkpoint: fairnessStallStreak");
-  const int fallbackLeft =
-      asInt(r.i64("fallbackLeft"), "dike checkpoint: fallbackLeft");
-  // The components restore into scratch copies first, so a schema failure
-  // deep in one of them leaves this scheduler untouched.
-  Observer observer{config_.observer};
-  observer.loadState(r);
-  Decider decider{decider_.config()};
-  decider.loadState(r);
-  PredictionTracker tracker;
-  if (config_.resilience.divergenceWatchdog)
-    tracker.armDivergenceWatchdog(config_.resilience.divergenceErrorThreshold,
-                                  config_.resilience.divergenceQuanta);
-  tracker.loadState(r);
-
-  params_ = params;
-  quantumIndex_ = quantumIndex;
-  totalSwaps_ = totalSwaps;
-  lastStats_ = lastStats;
-  totals_ = totals;
-  faultsActive_ = faultsActive;
-  fairnessStallStreak_ = fairnessStallStreak;
-  fallbackLeft_ = fallbackLeft;
-  observer_ = std::move(observer);
-  decider_ = std::move(decider);
-  tracker_ = std::move(tracker);
+  // Restore into a scheduler built from the same configuration (which
+  // also re-arms the tracker's watchdog), keeping this one's trace sink.
+  DikeScheduler fresh{config_};
+  fresh.decisionTrace_ = decisionTrace_;
+  *this = ckpt::readFields(r, std::move(fresh));
 }
 
 }  // namespace dike::core

@@ -48,8 +48,26 @@ struct DecisionTotals {
   std::int64_t divergenceResets = 0;     ///< closed-loop state resets
 };
 
+/// Field list (ckpt/fields.hpp), shared by checkpoints and reports.
+template <class Ar>
+void fields(Ar& ar, DecisionTotals& t) {
+  ar.io("quanta", t.quanta);
+  ar.io("actedQuanta", t.actedQuanta);
+  ar.io("pairsConsidered", t.pairsConsidered);
+  ar.io("rejectedCooldown", t.rejectedCooldown);
+  ar.io("rejectedProfit", t.rejectedProfit);
+  ar.io("swapsExecuted", t.swapsExecuted);
+  ar.io("swapsFailed", t.swapsFailed);
+  ar.io("migrationsFailed", t.migrationsFailed);
+  ar.io("fallbackQuanta", t.fallbackQuanta);
+  ar.io("fallbackEngagements", t.fallbackEngagements);
+  ar.io("divergenceResets", t.divergenceResets);
+}
+
 class DikeScheduler : public sched::Scheduler {
  public:
+  friend struct ckpt::Access;
+
   explicit DikeScheduler(DikeConfig config = {});
 
   [[nodiscard]] std::string_view name() const override;
@@ -124,6 +142,9 @@ class DikeScheduler : public sched::Scheduler {
  protected:
   void saveExtraState(ckpt::BinWriter& w) const override;
   void loadExtraState(ckpt::BinReader& r) override;
+  /// The checkpointed state, in payload order (ckpt/fields.hpp).
+  template <class Ar>
+  void fields(Ar& ar);
 
   void migrateToFreeCores(sched::SchedulerView& view,
                           telemetry::DecisionRecord* record,

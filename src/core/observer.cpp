@@ -153,10 +153,10 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
     state.rate.add(info.accessRate);
     info.avgAccessRate = state.rate.value();
     state.hasCum = true;
-    state.cumAccesses += info.accessRate * periodSec;
-    state.cumSeconds += periodSec;
-    info.cumAccessRate = state.cumSeconds > 0.0
-                             ? state.cumAccesses / state.cumSeconds
+    state.cum.accesses += info.accessRate * periodSec;
+    state.cum.seconds += periodSec;
+    info.cumAccessRate = state.cum.seconds > 0.0
+                             ? state.cum.accesses / state.cum.seconds
                              : 0.0;
     info.cls = info.llcMissRatio > config_.llcMissThreshold
                    ? ThreadClass::Memory
@@ -409,203 +409,104 @@ bool Observer::isHighBandwidthCore(int coreId) const {
   return highBandwidth_.at(static_cast<std::size_t>(coreId));
 }
 
-void Observer::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("observer");
-  w.i64("observedQuanta", observedQuanta_);
-  w.i64("heldSamples", heldSamples_);
-  w.i64("discardedSamples", discardedSamples_);
-  w.f64("unfairness", unfairness_);
-  w.i64("workloadType", static_cast<std::int64_t>(type_));
-  w.i64("memCount", memCount_);
-  w.i64("compCount", compCount_);
-
-  w.i64("threadInfoCount", util::isize(threads_));
-  for (const ThreadInfo& t : threads_) {
-    w.beginSection("info");
-    w.i64("threadId", t.threadId);
-    w.i64("processId", t.processId);
-    w.i64("coreId", t.coreId);
-    w.f64("accessRate", t.accessRate);
-    w.f64("avgAccessRate", t.avgAccessRate);
-    w.f64("cumAccessRate", t.cumAccessRate);
-    w.f64("deficit", t.deficit);
-    w.f64("llcMissRatio", t.llcMissRatio);
-    w.i64("class", static_cast<std::int64_t>(t.cls));
-    w.i64("staleAge", t.staleAge);
-    w.endSection();
-  }
-
-  // Per-thread state goes out as three lists in ascending thread id (the
-  // dense index is already in id order), each naming only the threads
-  // whose field is present.
-  const auto eachState = [this](auto&& fn) {
-    for (std::size_t id = 0; id < slotById_.size(); ++id)
-      if (slotById_[id] >= 0)
-        fn(static_cast<int>(id),
-           states_[static_cast<std::size_t>(slotById_[id])]);
-  };
-  std::int64_t rateCount = 0;
-  std::int64_t holdCount = 0;
-  std::vector<std::int64_t> cumIds;
-  std::vector<double> cumAccesses;
-  std::vector<double> cumSeconds;
-  eachState([&](int id, const ThreadState& st) {
-    rateCount += st.hasRate ? 1 : 0;
-    holdCount += st.hasHold ? 1 : 0;
-    if (!st.hasCum) return;
-    cumIds.push_back(id);
-    cumAccesses.push_back(st.cumAccesses);
-    cumSeconds.push_back(st.cumSeconds);
-  });
-
-  w.i64("threadRateCount", rateCount);
-  eachState([&w](int id, const ThreadState& st) {
-    if (!st.hasRate) return;
-    w.beginSection("rate");
-    w.i64("threadId", id);
-    ckpt::save(w, "window", st.rate);
-    w.endSection();
-  });
-
-  w.i64("holdCount", holdCount);
-  eachState([&w](int id, const ThreadState& st) {
-    if (!st.hasHold) return;
-    w.beginSection("hold");
-    w.i64("threadId", id);
-    w.f64("accessRate", st.hold.accessRate);
-    w.f64("llcMissRatio", st.hold.llcMissRatio);
-    w.i64("age", st.hold.age);
-    w.endSection();
-  });
-
-  w.vecI64("cumThreadIds", cumIds);
-  w.vecF64("cumAccesses", cumAccesses);
-  w.vecF64("cumSeconds", cumSeconds);
-
-  w.vecF64("coreBwRaw", coreBwRaw_);
-  w.vecF64("coreBwEffective", coreBwEffective_);
-  w.i64("coreBwWindowCount", util::isize(coreBwWindow_));
-  for (const util::MovingMean& mm : coreBwWindow_)
-    ckpt::save(w, "coreBwWindow", mm);
-  std::vector<std::int64_t> high(highBandwidth_.size());
-  for (std::size_t i = 0; i < highBandwidth_.size(); ++i)
-    high[i] = highBandwidth_[i] ? 1 : 0;
-  w.vecI64("highBandwidth", high);
-  w.endSection();
+std::vector<int> Observer::idsWith(bool ThreadState::*present) const {
+  std::vector<int> ids;
+  for (std::size_t id = 0; id < slotById_.size(); ++id)
+    if (slotById_[id] >= 0 &&
+        states_[static_cast<std::size_t>(slotById_[id])].*present)
+      ids.push_back(static_cast<int>(id));
+  return ids;
 }
 
-void Observer::loadState(ckpt::BinReader& r) {
-  Observer fresh{config_};
-  r.beginSection("observer");
-  fresh.observedQuanta_ = r.i64("observedQuanta");
-  fresh.heldSamples_ = r.i64("heldSamples");
-  fresh.discardedSamples_ = r.i64("discardedSamples");
-  fresh.unfairness_ = r.f64("unfairness");
-  fresh.type_ = static_cast<WorkloadType>(r.i64("workloadType"));
-  fresh.memCount_ = static_cast<int>(r.i64("memCount"));
-  fresh.compCount_ = static_cast<int>(r.i64("compCount"));
-
-  const std::int64_t infoCount = r.i64("threadInfoCount");
-  fresh.threads_.reserve(static_cast<std::size_t>(infoCount));
-  for (std::int64_t i = 0; i < infoCount; ++i) {
-    r.beginSection("info");
-    ThreadInfo t;
-    t.threadId = util::checkedInt<ckpt::CheckpointError>(
-        r.i64("threadId"), "observer checkpoint: info threadId");
-    if (t.threadId < 0)
-      throw ckpt::CheckpointError{
-          "observer checkpoint: info threadId is negative"};
-    t.processId = static_cast<int>(r.i64("processId"));
-    t.coreId = static_cast<int>(r.i64("coreId"));
-    t.accessRate = r.f64("accessRate");
-    t.avgAccessRate = r.f64("avgAccessRate");
-    t.cumAccessRate = r.f64("cumAccessRate");
-    t.deficit = r.f64("deficit");
-    t.llcMissRatio = r.f64("llcMissRatio");
-    t.cls = static_cast<ThreadClass>(r.i64("class"));
-    t.staleAge = static_cast<int>(r.i64("staleAge"));
-    r.endSection();
-    fresh.threads_.push_back(t);
-  }
-
-  // Thread ids index the dense per-thread table and each list names a
-  // thread at most once (saveState writes them that way), so a negative,
-  // out-of-range or repeated id is corruption.
-  const auto stateFor = [&fresh](std::int64_t id, bool ThreadState::*present,
-                                 const char* list) -> ThreadState& {
-    if (id < 0 || id > std::numeric_limits<int>::max())
-      throw ckpt::CheckpointError{std::string{"observer checkpoint: "} +
-                                  list + " thread id out of range"};
-    ThreadState& st = fresh.stateOf(static_cast<int>(id));
+template <class Ar>
+Observer::ThreadState& Observer::claim(int threadId,
+                                       bool ThreadState::*present) {
+  ThreadState& st = stateOf(threadId);
+  if constexpr (Ar::kLoading) {
+    // A saved list names each thread at most once.
     if (st.*present)
-      throw ckpt::CheckpointError{std::string{"observer checkpoint: "} +
-                                  list + " names a thread twice"};
+      throw ckpt::CheckpointError{"observer checkpoint names thread " +
+                                  std::to_string(threadId) +
+                                  " twice in one list"};
     st.*present = true;
-    return st;
-  };
-  const std::int64_t rateCount = r.i64("threadRateCount");
-  for (std::int64_t i = 0; i < rateCount; ++i) {
-    r.beginSection("rate");
-    ThreadState& st =
-        stateFor(r.i64("threadId"), &ThreadState::hasRate, "rate");
-    ckpt::load(r, "window", st.rate);
-    r.endSection();
   }
-
-  const std::int64_t holdCount = r.i64("holdCount");
-  for (std::int64_t i = 0; i < holdCount; ++i) {
-    r.beginSection("hold");
-    ThreadState& st =
-        stateFor(r.i64("threadId"), &ThreadState::hasHold, "hold");
-    st.hold.accessRate = r.f64("accessRate");
-    st.hold.llcMissRatio = r.f64("llcMissRatio");
-    st.hold.age = static_cast<int>(r.i64("age"));
-    r.endSection();
-  }
-
-  const std::vector<std::int64_t> cumIds = r.vecI64("cumThreadIds");
-  const std::vector<double> cumAccesses = r.vecF64("cumAccesses");
-  const std::vector<double> cumSeconds = r.vecF64("cumSeconds");
-  if (cumIds.size() != cumAccesses.size() ||
-      cumIds.size() != cumSeconds.size())
-    throw ckpt::CheckpointError{
-        "observer checkpoint: cumulative id/accesses/seconds lists disagree "
-        "in length"};
-  for (std::size_t i = 0; i < cumIds.size(); ++i) {
-    ThreadState& st = stateFor(cumIds[i], &ThreadState::hasCum, "cumulative");
-    st.cumAccesses = cumAccesses[i];
-    st.cumSeconds = cumSeconds[i];
-  }
-
-  fresh.coreBwRaw_ = r.vecF64("coreBwRaw");
-  fresh.coreBwEffective_ = r.vecF64("coreBwEffective");
-  const std::int64_t windowCount = r.i64("coreBwWindowCount");
-  fresh.coreBwWindow_.reserve(static_cast<std::size_t>(windowCount));
-  for (std::int64_t i = 0; i < windowCount; ++i) {
-    util::MovingMean mm{config_.movingMeanWindow};
-    ckpt::load(r, "coreBwWindow", mm);
-    fresh.coreBwWindow_.push_back(std::move(mm));
-  }
-  const std::vector<std::int64_t> high = r.vecI64("highBandwidth");
-  fresh.highBandwidth_.resize(high.size());
-  for (std::size_t i = 0; i < high.size(); ++i)
-    fresh.highBandwidth_[i] = high[i] != 0;
-  r.endSection();
-  // The per-core scans index every per-core array up to coreBwRaw_'s size.
-  const std::size_t cores = fresh.coreBwRaw_.size();
-  const std::size_t windows = config_.symmetricMovingMean ? cores : 0;
-  if (fresh.coreBwEffective_.size() != cores ||
-      fresh.highBandwidth_.size() != cores ||
-      fresh.coreBwWindow_.size() != windows)
-    throw ckpt::CheckpointError{
-        "observer checkpoint: per-core arrays disagree in length"};
-
-  *this = std::move(fresh);
-  // The order/index caches are never serialized (pure scratch); rebuild
-  // them from the restored thread list so findThread and the sort-repair
-  // path work from the first post-restore quantum — exactly as they would
-  // have in the uninterrupted run.
-  recordThreadOrder();
+  return st;
 }
+
+template <class Ar>
+void Observer::fields(Ar& ar) {
+  ar.section("observer", [&] {
+    ar.io("observedQuanta", observedQuanta_);
+    ar.io("heldSamples", heldSamples_);
+    ar.io("discardedSamples", discardedSamples_);
+    ar.io("unfairness", unfairness_);
+    ar.io("workloadType", type_);
+    ar.io("memCount", memCount_);
+    ar.io("compCount", compCount_);
+    ar.list("threadInfoCount", threads_, "info", [&](ThreadInfo& t) {
+      ar.id("threadId", t.threadId);
+      ar.io("processId", t.processId);
+      ar.io("coreId", t.coreId);
+      ar.io("accessRate", t.accessRate);
+      ar.io("avgAccessRate", t.avgAccessRate);
+      ar.io("cumAccessRate", t.cumAccessRate);
+      ar.io("deficit", t.deficit);
+      ar.io("llcMissRatio", t.llcMissRatio);
+      ar.io("class", t.cls);
+      ar.io("staleAge", t.staleAge);
+    });
+
+    // Per-thread state goes out as three lists in ascending thread id, each
+    // naming only the threads whose field is present. A fresh observer has
+    // no threads, so on load each list starts empty and claim() creates
+    // the records it names.
+    std::vector<int> ids = idsWith(&ThreadState::hasRate);
+    ar.list("threadRateCount", ids, "rate", [&](int& id) {
+      ar.id("threadId", id);
+      ar.io("window", claim<Ar>(id, &ThreadState::hasRate).rate);
+    });
+    ids = idsWith(&ThreadState::hasHold);
+    ar.list("holdCount", ids, "hold", [&](int& id) {
+      ar.id("threadId", id);
+      HeldSample& hold = claim<Ar>(id, &ThreadState::hasHold).hold;
+      ar.io("accessRate", hold.accessRate);
+      ar.io("llcMissRatio", hold.llcMissRatio);
+      ar.io("age", hold.age);
+    });
+    std::vector<std::pair<int, Progress>> cum;
+    for (const int id : idsWith(&ThreadState::hasCum))
+      cum.emplace_back(id, stateOf(id).cum);
+    ar.columns("cumThreadIds", cum,
+               ckpt::col("cumAccesses", &Progress::accesses),
+               ckpt::col("cumSeconds", &Progress::seconds));
+    if constexpr (Ar::kLoading)
+      for (const auto& [id, progress] : cum)
+        claim<Ar>(id, &ThreadState::hasCum).cum = progress;
+
+    ar.io("coreBwRaw", coreBwRaw_);
+    ar.io("coreBwEffective", coreBwEffective_);
+    ar.list(
+        "coreBwWindowCount", coreBwWindow_, "coreBwWindow",
+        [&](util::MovingMean& mm) { ckpt::fields(ar, mm); },
+        util::MovingMean{config_.movingMeanWindow});
+    ar.io("highBandwidth", highBandwidth_);
+  });
+  if constexpr (Ar::kLoading) {
+    // The per-core scans index every per-core array up to coreBwRaw_'s size.
+    const std::size_t cores = coreBwRaw_.size();
+    const std::size_t windows = config_.symmetricMovingMean ? cores : 0;
+    if (coreBwEffective_.size() != cores || highBandwidth_.size() != cores ||
+        coreBwWindow_.size() != windows)
+      throw ckpt::CheckpointError{
+          "observer checkpoint: per-core arrays disagree in length"};
+    // The order/index caches are never serialized (pure scratch); rebuild
+    // them from the restored thread list so findThread and the sort-repair
+    // path work from the first post-restore quantum — exactly as they would
+    // have in the uninterrupted run.
+    recordThreadOrder();
+  }
+}
+
+DIKE_CKPT_FIELDS(Observer);
 
 }  // namespace dike::core

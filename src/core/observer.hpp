@@ -92,7 +92,7 @@ class Observer {
 
   /// O(1) lookup into threadsByAccessRate() by thread id, or nullptr when
   /// the thread was not observed in the most recent quantum. The pointer is
-  /// invalidated by the next observe()/loadState() call.
+  /// invalidated by the next observe() call or restore.
   [[nodiscard]] const ThreadInfo* findThread(int threadId) const noexcept;
 
   /// CoreBW: the capability estimate for a core (accesses/second).
@@ -139,14 +139,16 @@ class Observer {
   /// fairness signal's input) is deliberately preserved.
   void resetClosedLoopState();
 
-  /// Serialize every mutable estimate — the closed-loop filters, sanitization
-  /// holds, cumulative progress accounting, and the core partition. The
-  /// moving-window filters carry their raw running sums (path dependent), so
-  /// restore is bit-exact.
-  void saveState(ckpt::BinWriter& w) const;
-  void loadState(ckpt::BinReader& r);
-
  private:
+  friend struct ckpt::Access;
+  /// The checkpointed state (ckpt/fields.hpp): every mutable estimate — the
+  /// closed-loop filters, sanitization holds, cumulative progress
+  /// accounting, and the core partition. The moving-window filters carry
+  /// their raw running sums (path dependent), so restore is bit-exact. A
+  /// load expects a freshly built observer.
+  template <class Ar>
+  void fields(Ar& ar);
+
   void updateCoreBw(const Observation& obs);
   void classifyThreads(const sim::QuantumSample& sample);
   void partitionCores(const Observation& obs);
@@ -170,6 +172,11 @@ class Observer {
     double llcMissRatio = 0.0;
     int age = 0;  ///< quanta since the reading was taken
   };
+  /// Whole-run progress accounting: the fairness signal's input.
+  struct Progress {
+    double accesses = 0.0;
+    double seconds = 0.0;
+  };
   /// Everything remembered about one thread across quanta. Each field has
   /// a presence bit: a record exists for every thread ever sampled, but a
   /// field counts (and is checkpointed) only once it has been set, so the
@@ -179,14 +186,19 @@ class Observer {
     explicit ThreadState(std::size_t rateWindow) : rate(rateWindow) {}
     util::MovingMean rate;  ///< avg access rate window
     HeldSample hold;        ///< sanitization hold
-    double cumAccesses = 0.0;
-    double cumSeconds = 0.0;
+    Progress cum;
     bool hasRate = false;
     bool hasHold = false;
     bool hasCum = false;
   };
   /// The thread's record, created on first use (one dense-index lookup).
   [[nodiscard]] ThreadState& stateOf(int threadId);
+  /// Ascending ids of the threads whose `present` field is set.
+  [[nodiscard]] std::vector<int> idsWith(bool ThreadState::*present) const;
+  /// The record a checkpoint list names: on load, created and marked
+  /// `present`, refusing a thread the list already named.
+  template <class Ar>
+  ThreadState& claim(int threadId, bool ThreadState::*present);
   /// Sanitize one raw sample into the out-parameters; false to skip the
   /// thread this quantum.
   [[nodiscard]] bool sanitize(const sim::ThreadSample& raw, ThreadState& state,

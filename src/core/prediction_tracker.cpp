@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <utility>
 
 #include "ckpt/state_io.hpp"
@@ -109,125 +108,46 @@ void PredictionTracker::reset() {
   diverged_ = false;
 }
 
-void PredictionTracker::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("predictionTracker");
-  {
-    std::vector<std::pair<int, double>> pending = pending_;
-    std::sort(pending.begin(), pending.end(),
+template <class Ar>
+void PredictionTracker::fields(Ar& ar) {
+  ar.section("predictionTracker", [&] {
+    ar.columns("pendingThreadIds", pending_, ckpt::col("pendingRates"));
+    ar.io("threadOrder", threadOrder_);
+    // Aggregates are keyed explicitly, in thread id order.
+    std::vector<std::pair<int, util::OnlineStats>> perThread{
+        perThread_.begin(), perThread_.end()};
+    std::sort(perThread.begin(), perThread.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<std::int64_t> ids;
-    std::vector<double> rates;
-    for (const auto& [id, rate] : pending) {
-      ids.push_back(id);
-      rates.push_back(rate);
+    ar.list("perThreadCount", perThread, "perThread", [&](auto& row) {
+      ar.id("threadId", row.first);
+      ar.io("stats", row.second);
+    });
+    if constexpr (Ar::kLoading) {
+      perThread_ = {perThread.begin(), perThread.end()};
+      if (perThread_.size() != perThread.size())
+        throw ckpt::CheckpointError{
+            "prediction tracker checkpoint names a thread twice"};
     }
-    w.vecI64("pendingThreadIds", ids);
-    w.vecF64("pendingRates", rates);
+    ar.list("traceCount", trace_, "point",
+            [&](PredictionErrorPoint& p) { core::fields(ar, p); });
+    ar.list("lastScoredCount", lastScored_, "scored",
+            [&](ScoredPrediction& s) {
+              ar.io("threadId", s.threadId);
+              ar.io("predicted", s.predicted);
+              ar.io("actual", s.actual);
+              ar.io("error", s.error);
+            });
+    ar.io("overall", overall_);
+    ar.io("divergenceStreak", divergenceStreak_);
+    ar.io("diverged", diverged_);
+  });
+  if constexpr (Ar::kLoading) {
+    // Re-register the loaded predictions so pendingSlot_ indexes them.
+    for (const auto& [id, rate] : std::exchange(pending_, {}))
+      setPrediction(id, rate);
   }
-  // threadOrder_ is first-appearance order; perThread_ keys are a subset of
-  // it plus any thread scored before the order vector existed, so persist
-  // the aggregates keyed explicitly.
-  {
-    std::vector<std::int64_t> order{threadOrder_.begin(), threadOrder_.end()};
-    w.vecI64("threadOrder", order);
-  }
-  {
-    const std::map<int, util::OnlineStats> perThread{perThread_.begin(),
-                                                     perThread_.end()};
-    w.i64("perThreadCount", static_cast<std::int64_t>(perThread.size()));
-    for (const auto& [id, stats] : perThread) {
-      w.beginSection("perThread");
-      w.i64("threadId", id);
-      ckpt::save(w, "stats", stats);
-      w.endSection();
-    }
-  }
-  w.i64("traceCount", util::isize(trace_));
-  for (const PredictionErrorPoint& p : trace_) {
-    w.beginSection("point");
-    w.i64("tick", p.tick);
-    w.i64("samples", p.samples);
-    w.f64("mean", p.mean);
-    w.f64("min", p.min);
-    w.f64("max", p.max);
-    w.endSection();
-  }
-  w.i64("lastScoredCount", util::isize(lastScored_));
-  for (const ScoredPrediction& s : lastScored_) {
-    w.beginSection("scored");
-    w.i64("threadId", s.threadId);
-    w.f64("predicted", s.predicted);
-    w.f64("actual", s.actual);
-    w.f64("error", s.error);
-    w.endSection();
-  }
-  ckpt::save(w, "overall", overall_);
-  w.i64("divergenceStreak", divergenceStreak_);
-  w.boolean("diverged", diverged_);
-  w.endSection();
 }
 
-void PredictionTracker::loadState(ckpt::BinReader& r) {
-  PredictionTracker fresh;
-  fresh.watchdogArmed_ = watchdogArmed_;
-  fresh.watchdogThreshold_ = watchdogThreshold_;
-  fresh.watchdogQuanta_ = watchdogQuanta_;
-  r.beginSection("predictionTracker");
-  const std::vector<std::int64_t> pendingIds = r.vecI64("pendingThreadIds");
-  const std::vector<double> pendingRates = r.vecF64("pendingRates");
-  if (pendingIds.size() != pendingRates.size())
-    throw ckpt::CheckpointError{
-        "prediction tracker checkpoint: pending id/rate lists disagree in "
-        "length"};
-  for (std::size_t i = 0; i < pendingIds.size(); ++i) {
-    if (pendingIds[i] < 0 || pendingIds[i] > std::numeric_limits<int>::max())
-      throw ckpt::CheckpointError{
-          "prediction tracker checkpoint: pending thread id out of range"};
-    fresh.setPrediction(static_cast<int>(pendingIds[i]), pendingRates[i]);
-  }
-  const std::vector<std::int64_t> order = r.vecI64("threadOrder");
-  fresh.threadOrder_.reserve(order.size());
-  for (const std::int64_t id : order)
-    fresh.threadOrder_.push_back(static_cast<int>(id));
-  const std::int64_t perThreadCount = r.i64("perThreadCount");
-  for (std::int64_t i = 0; i < perThreadCount; ++i) {
-    r.beginSection("perThread");
-    const int id = static_cast<int>(r.i64("threadId"));
-    util::OnlineStats stats;
-    ckpt::load(r, "stats", stats);
-    r.endSection();
-    fresh.perThread_.emplace(id, stats);
-  }
-  const std::int64_t traceCount = r.i64("traceCount");
-  fresh.trace_.reserve(static_cast<std::size_t>(traceCount));
-  for (std::int64_t i = 0; i < traceCount; ++i) {
-    r.beginSection("point");
-    PredictionErrorPoint p;
-    p.tick = r.i64("tick");
-    p.samples = static_cast<int>(r.i64("samples"));
-    p.mean = r.f64("mean");
-    p.min = r.f64("min");
-    p.max = r.f64("max");
-    r.endSection();
-    fresh.trace_.push_back(p);
-  }
-  const std::int64_t scoredCount = r.i64("lastScoredCount");
-  fresh.lastScored_.reserve(static_cast<std::size_t>(scoredCount));
-  for (std::int64_t i = 0; i < scoredCount; ++i) {
-    r.beginSection("scored");
-    ScoredPrediction s;
-    s.threadId = static_cast<int>(r.i64("threadId"));
-    s.predicted = r.f64("predicted");
-    s.actual = r.f64("actual");
-    s.error = r.f64("error");
-    r.endSection();
-    fresh.lastScored_.push_back(s);
-  }
-  ckpt::load(r, "overall", fresh.overall_);
-  fresh.divergenceStreak_ = static_cast<int>(r.i64("divergenceStreak"));
-  fresh.diverged_ = r.boolean("diverged");
-  r.endSection();
-  *this = std::move(fresh);
-}
+DIKE_CKPT_FIELDS(PredictionTracker);
 
 }  // namespace dike::core

@@ -27,6 +27,16 @@ struct PredictionErrorPoint {
   double max = 0.0;
 };
 
+/// Field list (ckpt/fields.hpp), shared by checkpoints and reports.
+template <class Ar>
+void fields(Ar& ar, PredictionErrorPoint& p) {
+  ar.io("tick", p.tick);
+  ar.io("samples", p.samples);
+  ar.io("mean", p.mean);
+  ar.io("min", p.min);
+  ar.io("max", p.max);
+}
+
 /// One (predicted, realised) pair from the most recent scoring pass —
 /// the telemetry quantum stream emits these so predictor error is directly
 /// plottable per quantum.
@@ -103,13 +113,15 @@ class PredictionTracker {
 
   void reset();
 
-  /// Serialize outstanding predictions, per-thread aggregates, the error
-  /// trace, and the watchdog streak. Watchdog *configuration* (threshold,
-  /// quanta) is not state — the owner re-arms it from its config on rebuild.
-  void saveState(ckpt::BinWriter& w) const;
-  void loadState(ckpt::BinReader& r);
-
  private:
+  friend struct ckpt::Access;
+  /// The checkpointed state (ckpt/fields.hpp): outstanding predictions,
+  /// per-thread aggregates, the error trace, and the watchdog streak.
+  /// Watchdog *configuration* (threshold, quanta) is not state — the owner
+  /// re-arms it from its config on rebuild. A load expects a fresh tracker.
+  template <class Ar>
+  void fields(Ar& ar);
+
   /// Outstanding prediction for `threadId`, or nullptr.
   [[nodiscard]] double* findPending(int threadId) noexcept;
   void clearPending() noexcept;

@@ -148,6 +148,9 @@ class RunSession {
   std::unique_ptr<QuantumMetricsListener> streamListener_;
   std::string payloadBuffer_;  ///< reused by writeCheckpoint
 
+  /// The checkpointed run state after the spec (ckpt/fields.hpp).
+  template <class Ar>
+  void fields(Ar& ar);
   void savePayload(ckpt::BinWriter& w) const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "ckpt/fields.hpp"
 #include "core/dike_scheduler.hpp"
 #include "sim/machine.hpp"
 
@@ -87,49 +88,28 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
   writer_->write(rec);
 }
 
-void QuantumMetricsListener::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("quantumStream");
-  w.i64("quantumIndex", quantumIndex_);
-  w.i64("lastTick", lastTick_);
-  const std::vector<telemetry::SlowdownEstimator::ThreadSnapshot> threads =
-      slowdown_.snapshot();
-  w.i64("threadCount", static_cast<std::int64_t>(threads.size()));
-  std::vector<std::int64_t> ids, procs;
-  std::vector<double> cums;
-  ids.reserve(threads.size());
-  procs.reserve(threads.size());
-  cums.reserve(threads.size());
-  for (const auto& t : threads) {
-    ids.push_back(t.threadId);
-    procs.push_back(t.processId);
-    cums.push_back(t.cum);
-  }
-  w.vecI64("threadIds", ids);
-  w.vecI64("processIds", procs);
-  w.vecF64("cumWork", cums);
-  w.endSection();
+template <class Ar>
+void QuantumMetricsListener::fields(Ar& ar) {
+  ar.section("quantumStream", [&] {
+    ar.io("quantumIndex", quantumIndex_);
+    ar.io("lastTick", lastTick_);
+    telemetry::SlowdownEstimator::Snapshot threads = slowdown_.snapshot();
+    std::int64_t count = util::isize(threads);
+    ar.io("threadCount", count);
+    using Accumulator = telemetry::SlowdownEstimator::Accumulator;
+    ar.columns("threadIds", threads,
+               ckpt::col("processIds", &Accumulator::processId),
+               ckpt::col("cumWork", &Accumulator::cum));
+    if constexpr (Ar::kLoading) {
+      if (count != util::isize(threads))
+        throw ckpt::CheckpointError{
+            "quantum-stream cursor arrays disagree with the declared thread "
+            "count; the checkpoint is internally inconsistent"};
+      slowdown_.restore(threads);
+    }
+  });
 }
 
-void QuantumMetricsListener::loadState(ckpt::BinReader& r) {
-  r.beginSection("quantumStream");
-  quantumIndex_ = r.i64("quantumIndex");
-  lastTick_ = r.i64("lastTick");
-  const std::int64_t count = r.i64("threadCount");
-  const std::vector<std::int64_t> ids = r.vecI64("threadIds");
-  const std::vector<std::int64_t> procs = r.vecI64("processIds");
-  const std::vector<double> cums = r.vecF64("cumWork");
-  if (static_cast<std::int64_t>(ids.size()) != count ||
-      procs.size() != ids.size() || cums.size() != ids.size())
-    throw ckpt::CheckpointError{
-        "quantum-stream cursor arrays disagree with the declared thread "
-        "count; the checkpoint is internally inconsistent"};
-  std::vector<telemetry::SlowdownEstimator::ThreadSnapshot> threads;
-  threads.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    threads.push_back({static_cast<int>(ids[i]), static_cast<int>(procs[i]),
-                       cums[i]});
-  slowdown_.restore(threads);
-  r.endSection();
-}
+DIKE_CKPT_FIELDS(QuantumMetricsListener);
 
 }  // namespace dike::exp

@@ -6,14 +6,13 @@
 // attained-work accumulators, the 0-based quantum counter, and the previous
 // quantum's end tick — and a resumed run can only append byte-identical
 // NDJSON records if that state is checkpointed and restored exactly, not
-// recomputed. saveState/loadState serialise it into the same named binary
-// archive the rest of the run state uses.
+// recomputed. Its field list rides in the same named binary archive the
+// rest of the run state uses.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
-#include "ckpt/archive.hpp"
 #include "core/prediction_tracker.hpp"
 #include "sched/scheduler.hpp"
 #include "telemetry/quantum_stream.hpp"
@@ -41,14 +40,14 @@ class QuantumMetricsListener final : public sched::QuantumListener {
     return quantumIndex_;
   }
 
-  /// Serialise the stream cursor (counter, last tick, slowdown
-  /// accumulators) as one archive section.
-  void saveState(ckpt::BinWriter& w) const;
-  /// Restore a cursor saved by saveState. Throws ckpt::CheckpointError on
-  /// schema mismatch; the estimator is replaced wholesale.
-  void loadState(ckpt::BinReader& r);
-
  private:
+  friend struct ckpt::Access;
+  /// The stream cursor — counter, last tick, slowdown accumulators — as one
+  /// archive section (ckpt/fields.hpp); a load replaces the estimator's
+  /// state wholesale.
+  template <class Ar>
+  void fields(Ar& ar);
+
   telemetry::QuantumStreamWriter* writer_;
   std::int64_t quantumIndex_ = 0;
   util::Tick lastTick_ = 0;

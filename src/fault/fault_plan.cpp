@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/json_fields.hpp"
+
 namespace dike::fault {
 
 namespace {
@@ -13,77 +15,94 @@ void requireProbability(double p, const char* name) {
                              "' must be in [0, 1]"};
 }
 
-void decodeWindow(const util::JsonValue& w, FaultWindow& out) {
-  out.startTick = static_cast<util::Tick>(
-      w.numberOr("startTick", static_cast<double>(out.startTick)));
-  out.endTick = static_cast<util::Tick>(
-      w.numberOr("endTick", static_cast<double>(out.endTick)));
-  if (out.startTick < 0 || out.endTick < 0)
+}  // namespace
+
+// JSON field lists (ckpt/json_fields.hpp); a load also range-checks.
+
+template <class Ar>
+void fields(Ar& ar, FaultWindow& w) {
+  ar.io("startTick", w.startTick);
+  ar.io("endTick", w.endTick);
+  if (!Ar::kLoading) return;
+  if (w.startTick < 0 || w.endTick < 0)
     throw std::runtime_error{"'faults.window' ticks must be >= 0"};
-  if (out.endTick != 0 && out.endTick <= out.startTick)
+  if (w.endTick != 0 && w.endTick <= w.startTick)
     throw std::runtime_error{
         "'faults.window.endTick' must be 0 (open) or > startTick"};
 }
 
-void decodeSamples(const util::JsonValue& s, SampleFaults& out) {
-  out.dropProbability = s.numberOr("dropProbability", out.dropProbability);
-  out.corruptProbability =
-      s.numberOr("corruptProbability", out.corruptProbability);
-  out.corruptScaleMin = s.numberOr("corruptScaleMin", out.corruptScaleMin);
-  out.corruptScaleMax = s.numberOr("corruptScaleMax", out.corruptScaleMax);
-  out.stuckAtZeroProbability =
-      s.numberOr("stuckAtZeroProbability", out.stuckAtZeroProbability);
-  out.stuckQuanta = s.intOr("stuckQuanta", out.stuckQuanta);
-  out.saturateMissRatioProbability = s.numberOr(
-      "saturateMissRatioProbability", out.saturateMissRatioProbability);
-  requireProbability(out.dropProbability, "samples.dropProbability");
-  requireProbability(out.corruptProbability, "samples.corruptProbability");
-  requireProbability(out.stuckAtZeroProbability,
+template <class Ar>
+void fields(Ar& ar, SampleFaults& s) {
+  ar.io("dropProbability", s.dropProbability);
+  ar.io("corruptProbability", s.corruptProbability);
+  ar.io("corruptScaleMin", s.corruptScaleMin);
+  ar.io("corruptScaleMax", s.corruptScaleMax);
+  ar.io("stuckAtZeroProbability", s.stuckAtZeroProbability);
+  ar.io("stuckQuanta", s.stuckQuanta);
+  ar.io("saturateMissRatioProbability", s.saturateMissRatioProbability);
+  if (!Ar::kLoading) return;
+  requireProbability(s.dropProbability, "samples.dropProbability");
+  requireProbability(s.corruptProbability, "samples.corruptProbability");
+  requireProbability(s.stuckAtZeroProbability,
                      "samples.stuckAtZeroProbability");
-  requireProbability(out.saturateMissRatioProbability,
+  requireProbability(s.saturateMissRatioProbability,
                      "samples.saturateMissRatioProbability");
-  if (out.corruptScaleMin <= 0.0 || out.corruptScaleMax < out.corruptScaleMin)
+  if (s.corruptScaleMin <= 0.0 || s.corruptScaleMax < s.corruptScaleMin)
     throw std::runtime_error{
         "'faults.samples' corrupt scale range must satisfy 0 < min <= max"};
-  if (out.stuckQuanta < 1)
+  if (s.stuckQuanta < 1)
     throw std::runtime_error{"'faults.samples.stuckQuanta' must be >= 1"};
 }
 
-void decodeActuation(const util::JsonValue& a, ActuationFaults& out) {
-  out.swapFailProbability =
-      a.numberOr("swapFailProbability", out.swapFailProbability);
-  out.migrationFailProbability =
-      a.numberOr("migrationFailProbability", out.migrationFailProbability);
-  requireProbability(out.swapFailProbability, "actuation.swapFailProbability");
-  requireProbability(out.migrationFailProbability,
+template <class Ar>
+void fields(Ar& ar, ActuationFaults& a) {
+  ar.io("swapFailProbability", a.swapFailProbability);
+  ar.io("migrationFailProbability", a.migrationFailProbability);
+  if (!Ar::kLoading) return;
+  requireProbability(a.swapFailProbability, "actuation.swapFailProbability");
+  requireProbability(a.migrationFailProbability,
                      "actuation.migrationFailProbability");
 }
 
-void decodeCores(const util::JsonValue& c, CoreFaults& out) {
-  out.freqDipProbability =
-      c.numberOr("freqDipProbability", out.freqDipProbability);
-  out.freqDipFactor = c.numberOr("freqDipFactor", out.freqDipFactor);
-  out.dipQuanta = c.intOr("dipQuanta", out.dipQuanta);
-  requireProbability(out.freqDipProbability, "cores.freqDipProbability");
-  if (out.freqDipFactor <= 0.0 || out.freqDipFactor > 1.0)
+template <class Ar>
+void fields(Ar& ar, CoreFaults& c) {
+  ar.io("freqDipProbability", c.freqDipProbability);
+  ar.io("freqDipFactor", c.freqDipFactor);
+  ar.io("dipQuanta", c.dipQuanta);
+  if (!Ar::kLoading) return;
+  requireProbability(c.freqDipProbability, "cores.freqDipProbability");
+  if (c.freqDipFactor <= 0.0 || c.freqDipFactor > 1.0)
     throw std::runtime_error{"'faults.cores.freqDipFactor' must be in (0, 1]"};
-  if (out.dipQuanta < 1)
+  if (c.dipQuanta < 1)
     throw std::runtime_error{"'faults.cores.dipQuanta' must be >= 1"};
 }
 
-void decodeChurn(const util::JsonValue& c, ChurnFaults& out) {
-  out.arrivals = c.intOr("arrivals", out.arrivals);
-  out.threadsPerArrival = c.intOr("threadsPerArrival", out.threadsPerArrival);
-  out.arrivalScale = c.numberOr("arrivalScale", out.arrivalScale);
-  if (out.arrivals < 0)
+template <class Ar>
+void fields(Ar& ar, ChurnFaults& c) {
+  ar.io("arrivals", c.arrivals);
+  ar.io("threadsPerArrival", c.threadsPerArrival);
+  ar.io("arrivalScale", c.arrivalScale);
+  if (!Ar::kLoading) return;
+  if (c.arrivals < 0)
     throw std::runtime_error{"'faults.churn.arrivals' must be >= 0"};
-  if (out.arrivals > 0 && out.threadsPerArrival < 1)
+  if (c.arrivals > 0 && c.threadsPerArrival < 1)
     throw std::runtime_error{"'faults.churn.threadsPerArrival' must be >= 1"};
-  if (out.arrivals > 0 && out.arrivalScale <= 0.0)
+  if (c.arrivals > 0 && c.arrivalScale <= 0.0)
     throw std::runtime_error{"'faults.churn.arrivalScale' must be > 0"};
 }
 
-}  // namespace
+template <class Ar>
+void fields(Ar& ar, FaultPlan& plan) {
+  ar.io("seed", plan.seed);
+  ar.io("window", plan.window);
+  ar.io("samples", plan.samples);
+  ar.io("actuation", plan.actuation);
+  ar.io("cores", plan.cores);
+  ar.io("churn", plan.churn);
+}
+
+template void fields(ckpt::JsonWriter& ar, FaultPlan& plan);
+template void fields(ckpt::JsonReader& ar, FaultPlan& plan);
 
 bool FaultPlan::enabled() const noexcept {
   return samples.dropProbability > 0.0 || samples.corruptProbability > 0.0 ||
@@ -97,57 +116,9 @@ bool FaultPlan::enabled() const noexcept {
 FaultPlan parseFaultPlan(const util::JsonValue& document) {
   if (!document.isObject())
     throw std::runtime_error{"fault plan must be a JSON object"};
-  FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(
-      document.numberOr("seed", static_cast<double>(plan.seed)));
-  if (const auto w = document.get("window")) decodeWindow(*w, plan.window);
-  if (const auto s = document.get("samples")) decodeSamples(*s, plan.samples);
-  if (const auto a = document.get("actuation"))
-    decodeActuation(*a, plan.actuation);
-  if (const auto c = document.get("cores")) decodeCores(*c, plan.cores);
-  if (const auto c = document.get("churn")) decodeChurn(*c, plan.churn);
-  return plan;
+  return ckpt::fromJson<FaultPlan>(document);
 }
 
-util::JsonValue toJson(const FaultPlan& plan) {
-  util::JsonObject window;
-  window.emplace("startTick", static_cast<double>(plan.window.startTick));
-  window.emplace("endTick", static_cast<double>(plan.window.endTick));
-
-  util::JsonObject samples;
-  samples.emplace("dropProbability", plan.samples.dropProbability);
-  samples.emplace("corruptProbability", plan.samples.corruptProbability);
-  samples.emplace("corruptScaleMin", plan.samples.corruptScaleMin);
-  samples.emplace("corruptScaleMax", plan.samples.corruptScaleMax);
-  samples.emplace("stuckAtZeroProbability",
-                  plan.samples.stuckAtZeroProbability);
-  samples.emplace("stuckQuanta", plan.samples.stuckQuanta);
-  samples.emplace("saturateMissRatioProbability",
-                  plan.samples.saturateMissRatioProbability);
-
-  util::JsonObject actuation;
-  actuation.emplace("swapFailProbability", plan.actuation.swapFailProbability);
-  actuation.emplace("migrationFailProbability",
-                    plan.actuation.migrationFailProbability);
-
-  util::JsonObject cores;
-  cores.emplace("freqDipProbability", plan.cores.freqDipProbability);
-  cores.emplace("freqDipFactor", plan.cores.freqDipFactor);
-  cores.emplace("dipQuanta", plan.cores.dipQuanta);
-
-  util::JsonObject churn;
-  churn.emplace("arrivals", plan.churn.arrivals);
-  churn.emplace("threadsPerArrival", plan.churn.threadsPerArrival);
-  churn.emplace("arrivalScale", plan.churn.arrivalScale);
-
-  util::JsonObject doc;
-  doc.emplace("seed", static_cast<double>(plan.seed));
-  doc.emplace("window", std::move(window));
-  doc.emplace("samples", std::move(samples));
-  doc.emplace("actuation", std::move(actuation));
-  doc.emplace("cores", std::move(cores));
-  doc.emplace("churn", std::move(churn));
-  return util::JsonValue{std::move(doc)};
-}
+util::JsonValue toJson(const FaultPlan& plan) { return ckpt::toJson(plan); }
 
 }  // namespace dike::fault

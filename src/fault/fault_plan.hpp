@@ -92,4 +92,9 @@ struct FaultPlan {
 /// Encode a plan as the JSON object parseFaultPlan accepts (round-trips).
 [[nodiscard]] util::JsonValue toJson(const FaultPlan& plan);
 
+/// The plan's JSON field list (ckpt/json_fields.hpp), for documents that
+/// embed a plan; instantiated for ckpt::JsonWriter and ckpt::JsonReader.
+template <class Ar>
+void fields(Ar& ar, FaultPlan& plan);
+
 }  // namespace dike::fault

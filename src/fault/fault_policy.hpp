@@ -40,11 +40,13 @@ class FaultInjectionPolicy final : public sim::QuantumPolicy {
     return static_cast<int>(dips_.size());
   }
 
-  /// Serialize the core-fault RNG, live dips, and the window-edge latch.
-  void saveState(ckpt::BinWriter& w) const;
-  void loadState(ckpt::BinReader& r);
-
  private:
+  friend struct ckpt::Access;
+  /// The core-fault RNG, live dips, and the window-edge latch
+  /// (ckpt/fields.hpp).
+  template <class Ar>
+  void fields(Ar& ar);
+
   struct Dip {
     double savedGhz = 0.0;
     int quantaLeft = 0;

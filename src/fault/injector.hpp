@@ -33,6 +33,18 @@ struct FaultTally {
   }
 };
 
+/// Field list (ckpt/fields.hpp), shared by checkpoints and reports.
+template <class Ar>
+void fields(Ar& ar, FaultTally& t) {
+  ar.io("droppedSamples", t.droppedSamples);
+  ar.io("corruptedSamples", t.corruptedSamples);
+  ar.io("stuckSamples", t.stuckSamples);
+  ar.io("stuckEpisodes", t.stuckEpisodes);
+  ar.io("saturatedMissRatios", t.saturatedMissRatios);
+  ar.io("failedSwaps", t.failedSwaps);
+  ar.io("failedMigrations", t.failedMigrations);
+}
+
 class FaultInjector final : public sched::SampleFilter,
                             public sched::ActuationHook {
  public:
@@ -55,11 +67,13 @@ class FaultInjector final : public sched::SampleFilter,
   /// Deterministic: the nth call returns the same stream for a given seed.
   [[nodiscard]] util::Rng forkStream() noexcept { return streamSource_.fork(); }
 
-  /// Serialize the three RNG streams, stuck episodes, and the tally.
-  void saveState(ckpt::BinWriter& w) const;
-  void loadState(ckpt::BinReader& r);
-
  private:
+  friend struct ckpt::Access;
+  /// The three RNG streams, stuck episodes, and the tally
+  /// (ckpt/fields.hpp).
+  template <class Ar>
+  void fields(Ar& ar);
+
   struct StuckEpisode {
     int quantaLeft = 0;
   };

@@ -28,12 +28,18 @@ void RandomScheduler::onQuantum(SchedulerView& view) {
   }
 }
 
+template <class Ar>
+void RandomScheduler::fields(Ar& ar) {
+  ar.io("rng", rng_);
+}
+
 void RandomScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  ckpt::save(w, "rng", rng_);
+  ckpt::writeFields(w, *this);
 }
 
 void RandomScheduler::loadExtraState(ckpt::BinReader& r) {
-  ckpt::load(r, "rng", rng_);
+  ckpt::Reader ar{r};
+  fields(ar);  // the RNG state is set only once all of it has been read
 }
 
 }  // namespace dike::sched

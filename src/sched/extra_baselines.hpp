@@ -29,6 +29,10 @@ class RandomScheduler final : public Scheduler {
   void loadExtraState(ckpt::BinReader& r) override;
 
  private:
+  friend struct ckpt::Access;
+  template <class Ar>
+  void fields(Ar& ar);
+
   util::Tick quantum_;
   int pairs_;
   util::Rng rng_;

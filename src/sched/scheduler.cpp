@@ -1,28 +1,31 @@
 #include "sched/scheduler.hpp"
 
-#include <string>
-
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 
 namespace dike::sched {
 
+template <class Ar>
+void Scheduler::fields(Ar& ar) {
+  ar.section("scheduler", [&] {
+    // The policy name leads, so restoring one policy's state into another
+    // fails before any of its fields is consumed.
+    ar.expect("policy", name());
+    if constexpr (Ar::kLoading)
+      loadExtraState(ar.binary());
+    else
+      saveExtraState(ar.binary());
+  });
+}
+
+DIKE_CKPT_FIELDS(Scheduler);
+
 void Scheduler::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("scheduler");
-  w.str("policy", name());
-  saveExtraState(w);
-  w.endSection();
+  ckpt::writeFields(w, *this);
 }
 
 void Scheduler::loadState(ckpt::BinReader& r) {
-  r.beginSection("scheduler");
-  const std::string policy = r.str("policy");
-  if (policy != name())
-    throw ckpt::CheckpointError{
-        "checkpoint was taken under scheduler '" + policy +
-        "' but this run uses '" + std::string{name()} +
-        "' — nothing was restored"};
-  loadExtraState(r);
-  r.endSection();
+  ckpt::Reader ar{r};
+  fields(ar);
 }
 
 void Scheduler::saveExtraState(ckpt::BinWriter&) const {}

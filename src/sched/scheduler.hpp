@@ -15,6 +15,11 @@
 #include "sim/machine.hpp"
 #include "util/types.hpp"
 
+namespace dike::ckpt {
+class BinWriter;
+class BinReader;
+}  // namespace dike::ckpt
+
 namespace dike::sched {
 
 /// Transforms the per-quantum counter sample before any scheduler sees it.
@@ -153,6 +158,12 @@ class Scheduler {
   /// Hooks for stateful policies; the base implementations hold no state.
   virtual void saveExtraState(ckpt::BinWriter& w) const;
   virtual void loadExtraState(ckpt::BinReader& r);
+
+ private:
+  friend struct ckpt::Access;
+  /// The "scheduler" section: the policy name, then the hooks' state.
+  template <class Ar>
+  void fields(Ar& ar);
 };
 
 /// Observer of quantum boundaries, called after the scheduler has made its

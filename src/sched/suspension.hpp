@@ -35,6 +35,10 @@ class SuspensionScheduler final : public Scheduler {
   void loadExtraState(ckpt::BinReader& r) override;
 
  private:
+  friend struct ckpt::Access;
+  template <class Ar>
+  void fields(Ar& ar);
+
   util::Tick quantum_;
   double margin_;
   std::unordered_map<int, double> cumulativeInstructions_;

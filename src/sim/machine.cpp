@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ckpt/archive.hpp"
 #include "ckpt/state_io.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
@@ -791,189 +790,113 @@ void Machine::sampleAndResetInto(QuantumSample& out) {
   lastSampleTick_ = now_;
 }
 
-void Machine::saveState(ckpt::BinWriter& w) const {
-  flushHotState();  // checkpoints serialize the struct-of-record threads
-  w.beginSection("machine");
-  w.i64("now", now_);
-  w.i64("lastSampleTick", lastSampleTick_);
-  w.i64("swapCount", swapCount_);
-  w.i64("migrationCount", migrationCount_);
-  w.f64("energyJoules", energyJ_);
-  w.i64("computedTicks", stats_.computedTicks);
-  w.i64("leapedTicks", stats_.leapedTicks);
-  ckpt::save(w, "rng", rng_);
-  w.vecF64("physFreqGhz", physFreqGhz_);
-  w.vecInt("coreToThread", coreToThread_);
-  w.vecInt("liveThreads", liveThreads_);
-  w.vecF64("coreQuantumAccesses", coreQuantumAccesses_);
-  w.i64("threadCount", util::isize(threads_));
-  for (const SimThread& t : threads_) {
-    w.beginSection("thread " + std::to_string(t.id));
-    w.i64("id", t.id);
-    w.i64("processId", t.processId);
-    w.i64("indexInProcess", t.indexInProcess);
-    w.f64("executed", t.executed);
-    w.f64("phaseExecuted", t.phaseExecuted);
-    w.i64("phaseIndex", t.phaseIndex);
-    w.i64("coreId", t.coreId);
-    w.i64("stallUntilTick", t.stallUntilTick);
-    w.i64("coldUntilTick", t.coldUntilTick);
-    w.boolean("suspended", t.suspended);
-    w.boolean("waitingAtBarrier", t.waitingAtBarrier);
-    w.i64("barriersPassed", t.barriersPassed);
-    w.i64("startTick", t.startTick);
-    w.boolean("finished", t.finished);
-    w.i64("finishTick", t.finishTick);
-    w.f64("quantumInstructions", t.quantumInstructions);
-    w.f64("quantumAccesses", t.quantumAccesses);
-    w.f64("totalAccesses", t.totalAccesses);
-    w.i64("migrations", t.migrations);
-    w.i64("lastMigrationTick", t.lastMigrationTick);
-    w.vecF64("socketConflict", t.socketConflict);
-    w.f64("prevUtilization", t.prevUtilization);
-    w.i64("runnableTicks", t.runnableTicks);
-    w.i64("stallTicks", t.stallTicks);
-    w.i64("barrierTicks", t.barrierTicks);
-    w.i64("suspendedTicks", t.suspendedTicks);
-    w.i64("fastCoreTicks", t.fastCoreTicks);
-    w.i64("slowCoreTicks", t.slowCoreTicks);
-    w.endSection();
+template <class Ar>
+void Machine::fields(Ar& ar) {
+  if constexpr (!Ar::kLoading) flushHotState();  // the structs are saved
+  ar.section("machine", [&] {
+    ar.io("now", now_);
+    ar.io("lastSampleTick", lastSampleTick_);
+    ar.io("swapCount", swapCount_);
+    ar.io("migrationCount", migrationCount_);
+    ar.io("energyJoules", energyJ_);
+    ar.io("computedTicks", stats_.computedTicks);
+    ar.io("leapedTicks", stats_.leapedTicks);
+    ar.io("rng", rng_);
+    ar.io("physFreqGhz", physFreqGhz_);
+    ar.io("coreToThread", coreToThread_);
+    ar.io("liveThreads", liveThreads_);
+    ar.io("coreQuantumAccesses", coreQuantumAccesses_);
+    ar.expect("threadCount", util::isize(threads_));
+    for (SimThread& t : threads_) {
+      ar.section("thread " + std::to_string(t.id), [&] {
+        ar.expect("id", t.id);
+        ar.expect("processId", t.processId);
+        ar.expect("indexInProcess", t.indexInProcess);
+        ar.io("executed", t.executed);
+        ar.io("phaseExecuted", t.phaseExecuted);
+        ar.io("phaseIndex", t.phaseIndex);
+        ar.io("coreId", t.coreId);
+        ar.io("stallUntilTick", t.stallUntilTick);
+        ar.io("coldUntilTick", t.coldUntilTick);
+        ar.io("suspended", t.suspended);
+        ar.io("waitingAtBarrier", t.waitingAtBarrier);
+        ar.io("barriersPassed", t.barriersPassed);
+        ar.io("startTick", t.startTick);
+        ar.io("finished", t.finished);
+        ar.io("finishTick", t.finishTick);
+        ar.io("quantumInstructions", t.quantumInstructions);
+        ar.io("quantumAccesses", t.quantumAccesses);
+        ar.io("totalAccesses", t.totalAccesses);
+        ar.io("migrations", t.migrations);
+        ar.io("lastMigrationTick", t.lastMigrationTick);
+        ar.io("socketConflict", t.socketConflict);
+        ar.io("prevUtilization", t.prevUtilization);
+        ar.io("runnableTicks", t.runnableTicks);
+        ar.io("stallTicks", t.stallTicks);
+        ar.io("barrierTicks", t.barrierTicks);
+        ar.io("suspendedTicks", t.suspendedTicks);
+        ar.io("fastCoreTicks", t.fastCoreTicks);
+        ar.io("slowCoreTicks", t.slowCoreTicks);
+      });
+    }
+    ar.expect("processCount", util::isize(processes_));
+    for (SimProcess& p : processes_) {
+      ar.section("process " + std::to_string(p.id), [&] {
+        ar.expect("name", p.name);
+        ar.io("finishTick", p.finishTick);
+      });
+    }
+  });
+  if constexpr (Ar::kLoading) {
+    checkRestored();
+    tickHadEvent_ = false;
+    rebuildHotState();
   }
-  w.i64("processCount", util::isize(processes_));
-  for (const SimProcess& p : processes_) {
-    w.beginSection("process " + std::to_string(p.id));
-    w.str("name", p.name);
-    w.i64("finishTick", p.finishTick);
-    w.endSection();
-  }
-  w.endSection();
 }
 
-void Machine::loadState(ckpt::BinReader& r) {
-  r.beginSection("machine");
-  const util::Tick now = r.i64("now");
-  const util::Tick lastSampleTick = r.i64("lastSampleTick");
-  const std::int64_t swapCount = r.i64("swapCount");
-  const std::int64_t migrationCount = r.i64("migrationCount");
-  const double energyJ = r.f64("energyJoules");
-  StepStats stats;
-  stats.computedTicks = r.i64("computedTicks");
-  stats.leapedTicks = r.i64("leapedTicks");
-  util::Rng rng{0};
-  ckpt::load(r, "rng", rng);
-  const std::vector<double> physFreqGhz = r.vecF64("physFreqGhz");
-  if (physFreqGhz.size() != physFreqGhz_.size())
-    throw ckpt::CheckpointError{
-        "checkpointed machine has " + std::to_string(physFreqGhz.size()) +
-        " physical cores but this topology has " +
-        std::to_string(physFreqGhz_.size())};
-  const std::vector<int> coreToThread = r.vecInt("coreToThread");
-  if (coreToThread.size() != coreToThread_.size())
-    throw ckpt::CheckpointError{
-        "checkpointed machine has " + std::to_string(coreToThread.size()) +
-        " vcores but this topology has " +
-        std::to_string(coreToThread_.size())};
-  const std::vector<int> liveThreads = r.vecInt("liveThreads");
-  const std::vector<double> coreQuantumAccesses =
-      r.vecF64("coreQuantumAccesses");
-  if (coreQuantumAccesses.size() != coreQuantumAccesses_.size())
-    throw ckpt::CheckpointError{
-        "checkpointed per-core counters cover " +
-        std::to_string(coreQuantumAccesses.size()) +
-        " vcores but this topology has " +
-        std::to_string(coreQuantumAccesses_.size())};
-  const std::int64_t threadCount = r.i64("threadCount");
-  if (threadCount != util::isize(threads_))
-    throw ckpt::CheckpointError{
-        "checkpointed machine has " + std::to_string(threadCount) +
-        " threads but this run spec builds " +
-        std::to_string(threads_.size()) +
-        " — the checkpoint was taken under a different config"};
-  std::vector<SimThread> restored = threads_;
-  for (SimThread& t : restored) {
-    r.beginSection("thread " + std::to_string(t.id));
-    const std::int64_t id = r.i64("id");
-    const std::int64_t processId = r.i64("processId");
-    const std::int64_t indexInProcess = r.i64("indexInProcess");
-    if (id != t.id || processId != t.processId ||
-        indexInProcess != t.indexInProcess)
-      throw ckpt::CheckpointError{
-          "checkpointed thread " + std::to_string(id) +
-          " does not match the constructed thread " + std::to_string(t.id) +
-          " — the checkpoint was taken under a different config"};
-    t.executed = r.f64("executed");
-    t.phaseExecuted = r.f64("phaseExecuted");
-    t.phaseIndex = static_cast<int>(r.i64("phaseIndex"));
-    t.coreId = static_cast<int>(r.i64("coreId"));
-    t.stallUntilTick = r.i64("stallUntilTick");
-    t.coldUntilTick = r.i64("coldUntilTick");
-    t.suspended = r.boolean("suspended");
-    t.waitingAtBarrier = r.boolean("waitingAtBarrier");
-    t.barriersPassed = static_cast<int>(r.i64("barriersPassed"));
-    t.startTick = r.i64("startTick");
-    t.finished = r.boolean("finished");
-    t.finishTick = r.i64("finishTick");
-    t.quantumInstructions = r.f64("quantumInstructions");
-    t.quantumAccesses = r.f64("quantumAccesses");
-    t.totalAccesses = r.f64("totalAccesses");
-    t.migrations = static_cast<int>(r.i64("migrations"));
-    t.lastMigrationTick = r.i64("lastMigrationTick");
-    t.socketConflict = r.vecF64("socketConflict");
-    if (t.socketConflict.size() !=
-        static_cast<std::size_t>(topology_.socketCount()))
-      throw ckpt::CheckpointError{
-          "checkpointed thread " + std::to_string(t.id) + " carries " +
-          std::to_string(t.socketConflict.size()) +
-          " socket-conflict draws but this topology has " +
-          std::to_string(topology_.socketCount()) + " sockets"};
-    t.prevUtilization = r.f64("prevUtilization");
-    t.runnableTicks = r.i64("runnableTicks");
-    t.stallTicks = r.i64("stallTicks");
-    t.barrierTicks = r.i64("barrierTicks");
-    t.suspendedTicks = r.i64("suspendedTicks");
-    t.fastCoreTicks = r.i64("fastCoreTicks");
-    t.slowCoreTicks = r.i64("slowCoreTicks");
-    r.endSection();
-  }
-  const std::int64_t processCount = r.i64("processCount");
-  if (processCount != util::isize(processes_))
-    throw ckpt::CheckpointError{
-        "checkpointed machine has " + std::to_string(processCount) +
-        " processes but this run spec builds " +
-        std::to_string(processes_.size()) +
-        " — the checkpoint was taken under a different config"};
-  std::vector<util::Tick> processFinish(processes_.size(), -1);
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    r.beginSection("process " + std::to_string(processes_[i].id));
-    const std::string name = r.str("name");
-    if (name != processes_[i].name)
-      throw ckpt::CheckpointError{
-          "checkpointed process " + std::to_string(processes_[i].id) +
-          " is '" + name + "' but this run spec builds '" +
-          processes_[i].name +
-          "' — the checkpoint was taken under a different config"};
-    processFinish[i] = r.i64("finishTick");
-    r.endSection();
-  }
-  r.endSection();
+DIKE_CKPT_FIELDS(Machine);
 
-  // Everything parsed and validated — commit. No throw below this line.
-  now_ = now;
-  lastSampleTick_ = lastSampleTick;
-  swapCount_ = swapCount;
-  migrationCount_ = migrationCount;
-  energyJ_ = energyJ;
-  stats_ = stats;
-  rng_ = rng;
-  physFreqGhz_ = physFreqGhz;
-  coreToThread_ = coreToThread;
-  liveThreads_ = liveThreads;
-  coreQuantumAccesses_ = coreQuantumAccesses;
-  threads_ = std::move(restored);
-  for (std::size_t i = 0; i < processes_.size(); ++i)
-    processes_[i].finishTick = processFinish[i];
-  tickHadEvent_ = false;
-  rebuildHotState();
+void Machine::checkRestored() const {
+  const auto fail = [](const std::string& what) {
+    throw ckpt::CheckpointError{"checkpointed machine " + what};
+  };
+  const int cores = topology_.coreCount();
+  const int threads = util::isize(threads_);
+  if (util::isize(physFreqGhz_) != topology_.physicalCoreCount() ||
+      util::isize(coreToThread_) != cores ||
+      util::isize(coreQuantumAccesses_) != cores)
+    fail("does not match this topology's core counts");
+  for (const SimThread& t : threads_) {
+    const auto& phases =
+        processes_[static_cast<std::size_t>(t.processId)].program.phases;
+    if (util::isize(t.socketConflict) != topology_.socketCount())
+      fail("gives thread " + std::to_string(t.id) +
+           " a socket-conflict draw per socket of another topology");
+    if (t.phaseIndex < 0 || t.phaseIndex > util::isize(phases))
+      fail("puts thread " + std::to_string(t.id) + " in phase " +
+           std::to_string(t.phaseIndex) + " of " +
+           std::to_string(phases.size()));
+    if (t.coreId < -1 || t.coreId >= cores)
+      fail("puts thread " + std::to_string(t.id) + " on core " +
+           std::to_string(t.coreId) + " of " + std::to_string(cores));
+    if (!t.finished && t.coreId >= 0 &&
+        coreToThread_[static_cast<std::size_t>(t.coreId)] != t.id)
+      fail("puts thread " + std::to_string(t.id) +
+           " on a core its core map gives to another");
+  }
+  for (int c = 0; c < cores; ++c) {
+    const int id = coreToThread_[static_cast<std::size_t>(c)];
+    if (id != -1 &&
+        (id < 0 || id >= threads ||
+         threads_[static_cast<std::size_t>(id)].coreId != c ||
+         threads_[static_cast<std::size_t>(id)].finished))
+      fail("maps core " + std::to_string(c) + " to thread " +
+           std::to_string(id) + ", which is not a live thread there");
+  }
+  for (const int id : liveThreads_)
+    if (id < 0 || id >= threads)
+      fail("lists live thread " + std::to_string(id) + " of " +
+           std::to_string(threads));
 }
 
 RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,

@@ -29,8 +29,7 @@
 #include "util/types.hpp"
 
 namespace dike::ckpt {
-class BinWriter;
-class BinReader;
+struct Access;
 }  // namespace dike::ckpt
 
 namespace dike::sim {
@@ -233,21 +232,21 @@ class Machine {
     return trace_;
   }
 
-  /// Serialize every piece of mutable simulation state — the clock, thread
-  /// progress, placement, RNG stream (including per-thread socket-conflict
-  /// draws, stored on the threads), counters, and energy — into the archive.
-  /// Per-tick transients (scratch buffers, the intra-tick event flag) are
-  /// rebuilt by the next step and are deliberately excluded.
-  void saveState(ckpt::BinWriter& w) const;
-
-  /// Restore state captured by saveState into a machine constructed with
-  /// the same topology, config, processes, and threads (i.e. rebuilt from
-  /// the same RunSpec). Validates thread/process identity before touching
-  /// anything and throws ckpt::CheckpointError on any mismatch, so a failed
-  /// load never leaves a partially-restored machine.
-  void loadState(ckpt::BinReader& r);
-
  private:
+  friend struct ckpt::Access;
+  /// The checkpointed state (ckpt/fields.hpp): the clock, thread progress,
+  /// placement, RNG stream (including per-thread socket-conflict draws,
+  /// stored on the threads), counters, and energy. Per-tick transients
+  /// (scratch buffers, the intra-tick event flag) are rebuilt by the next
+  /// step and are deliberately excluded. A load expects a machine built
+  /// from the same RunSpec and refuses a checkpoint whose thread/process
+  /// identity, array shapes or placement indices do not fit it.
+  template <class Ar>
+  void fields(Ar& ar);
+  /// Throw unless the restored state has this topology's shapes and a
+  /// self-consistent placement.
+  void checkRestored() const;
+
   /// Result of evaluating one tick with the full model. `steady` means the
   /// next tick is provably bit-identical to this one until a time-based
   /// predicate (stall/cold expiry) flips or an external mutation arrives;
@@ -298,7 +297,7 @@ class Machine {
     std::vector<double> conflict;  ///< socketConflict[socket of coreId]
     // Phase-derived caches. Phase pointers stay valid across process-vector
     // reallocation because each PhaseProgram's phases buffer is moved, not
-    // copied; they are refreshed on phase transitions and loadState.
+    // copied; they are refreshed on phase transitions and restores.
     std::vector<const Phase*> phase;
     // Per-thread copies of per-process constants (barrier clipping inputs).
     std::vector<double> barrierEvery, totalInstructions;
@@ -309,7 +308,7 @@ class Machine {
   void syncHotThread(int threadId);
   /// Refresh a thread's phase-pointer cache from its struct.
   void refreshPhaseCache(int threadId);
-  /// Rebuild every SoA array from the structs (loadState).
+  /// Rebuild every SoA array from the structs (restore).
   void rebuildHotState();
   /// Write the authoritative SoA accumulators back into the SimThread
   /// structs so external readers (reports, checkpoints, tests) see them.

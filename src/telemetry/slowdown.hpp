@@ -21,6 +21,7 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace dike::telemetry {
@@ -31,11 +32,12 @@ class SlowdownEstimator {
   /// work is path-dependent (floating-point accumulation order matters), so
   /// a resumed stream is only byte-identical to the uninterrupted one if it
   /// restarts from the exact accumulators, not a recomputation.
-  struct ThreadSnapshot {
-    int threadId = -1;
+  struct Accumulator {
     int processId = -1;
     double cum = 0.0;
   };
+  /// (thread id, accumulator) rows, one per thread.
+  using Snapshot = std::vector<std::pair<int, Accumulator>>;
 
   /// Start a quantum; `dtSeconds` is the wall time the quantum covered.
   void beginQuantum(double dtSeconds) noexcept {
@@ -93,28 +95,24 @@ class SlowdownEstimator {
   /// construction); NaN when nothing was eligible.
   [[nodiscard]] double fairnessSpread() const noexcept { return spread_; }
 
-  /// The persistent state, sorted by threadId (deterministic archive
-  /// order). Per-quantum transients (slowdowns, spread) are recomputed by
-  /// the next finishQuantum() and are not part of the snapshot.
-  [[nodiscard]] std::vector<ThreadSnapshot> snapshot() const {
-    std::vector<ThreadSnapshot> out;
+  /// The persistent state, in no particular order. Per-quantum transients
+  /// (slowdowns, spread) are recomputed by the next finishQuantum() and are
+  /// not part of the snapshot.
+  [[nodiscard]] Snapshot snapshot() const {
+    Snapshot out;
     out.reserve(threads_.size());
     for (const auto& [id, thread] : threads_)
-      out.push_back({id, thread.processId, thread.cum});
-    std::sort(out.begin(), out.end(),
-              [](const ThreadSnapshot& a, const ThreadSnapshot& b) {
-                return a.threadId < b.threadId;
-              });
+      out.emplace_back(id, Accumulator{thread.processId, thread.cum});
     return out;
   }
 
   /// Replace the persistent state with a snapshot (restore path).
-  void restore(const std::vector<ThreadSnapshot>& state) {
+  void restore(const Snapshot& state) {
     threads_.clear();
-    for (const ThreadSnapshot& t : state) {
-      ThreadState& thread = threads_[t.threadId];
-      thread.processId = t.processId;
-      thread.cum = t.cum;
+    for (const auto& [id, acc] : state) {
+      ThreadState& thread = threads_[id];
+      thread.processId = acc.processId;
+      thread.cum = acc.cum;
     }
     seen_.clear();
     spread_ = std::numeric_limits<double>::quiet_NaN();

@@ -5,17 +5,22 @@
 // final report — must equal a constant recorded from a known-good build.
 //
 // The replay suite proves a run agrees with *itself* across checkpoint and
-// restore; these pins prove a refactor of the decide path agrees with the
-// code it replaced. A change that alters the bytes on purpose (a schema
-// bump) regenerates the table from the failure messages, which print each
-// row in source form. Labelled "replay" with the rest of that tier.
+// restore; these pins prove a refactor of the decide path or the codec agrees
+// with the code it replaced, and every pinned checkpoint must restore to a
+// session that saves it again byte for byte. A change that alters the bytes
+// on purpose (a schema bump) regenerates the table from the failure
+// messages, which print each row in source form. Labelled "replay" with the
+// rest of that tier.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "ckpt/checkpoint.hpp"
 #include "exp/replay.hpp"
@@ -122,8 +127,9 @@ std::string hex(std::uint64_t v) {
 }
 
 /// Step every kind up to `quanta` quanta under `makeSpec`, digest the checkpoint
-/// payload, optionally finish the run and digest its report, and compare
-/// against `pins` (one row per kind, in kEveryKind order).
+/// payload, check that restoring it saves the same payload again, optionally
+/// finish the run and digest its report, and compare against `pins` (one
+/// row per kind, in kEveryKind order).
 void expectPins(RunSpec (*makeSpec)(SchedulerKind), int quanta, bool finish,
                 const std::vector<Pin>& pins) {
   ASSERT_EQ(pins.size(), std::size(kEveryKind));
@@ -134,8 +140,19 @@ void expectPins(RunSpec (*makeSpec)(SchedulerKind), int quanta, bool finish,
     // Short runs (CFS takes few, long quanta) may end before `quanta`.
     for (int q = 0; q < quanta && session.stepQuantum(); ++q) {
     }
-    const std::uint64_t checkpoint =
-        ckpt::fnv1a64(session.checkpointPayload());
+    const std::string payload = session.checkpointPayload();
+    const std::uint64_t checkpoint = ckpt::fnv1a64(payload);
+    // The load side of the same bytes: restoring this checkpoint and
+    // saving again must reproduce it exactly.
+    // Per test and process: ctest runs the pinned cases concurrently.
+    const std::string path =
+        ::testing::TempDir() + "/" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + ".ckpt";
+    session.writeCheckpoint(path);
+    EXPECT_TRUE(RunSession::restore(path)->checkpointPayload() == payload)
+        << toString(kind) << " does not restore to its own checkpoint";
+    std::filesystem::remove(path);
     const std::uint64_t report =
         finish ? ckpt::fnv1a64(runMetricsToJson(session.finish()).dump(2))
                : 0;
