@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "sched/placement.hpp"
-#include "workload/workloads.hpp"
+#include "exp/replay.hpp"
 
 namespace dike::exp {
 
@@ -31,38 +30,18 @@ void DvfsScript::onQuantum(sim::Machine& machine) {
 }
 
 RunMetrics runDvfsWorkload(const DvfsRunSpec& spec) {
-  RunSpec base;
-  base.workloadId = spec.workloadId;
-  base.kind = spec.kind;
-  base.params = spec.params;
-  base.scale = spec.scale;
-  base.seed = spec.seed;
-
-  sim::MachineConfig machineCfg;
-  machineCfg.seed = spec.seed;
-  sim::Machine machine{sim::MachineTopology::homogeneousTestbed(),
-                       machineCfg};
-  wl::addWorkloadProcesses(machine, wl::workload(spec.workloadId),
-                           spec.scale);
-  sched::placeRandom(machine, spec.seed);
-
-  const std::unique_ptr<sched::Scheduler> scheduler = makeScheduler(base);
-  sched::SchedulerAdapter adapter{*scheduler};
-  DvfsScript script{adapter, spec.script};
-  const sim::RunOutcome outcome = sim::runMachine(machine, script);
-
-  RunMetrics metrics;
-  metrics.scheduler = std::string{scheduler->name()};
-  metrics.workload = wl::workload(spec.workloadId).name + "+dvfs";
-  metrics.makespan = outcome.finishTick;
-  metrics.timedOut = outcome.timedOut;
-  metrics.swaps = machine.swapCount();
-  metrics.migrations = machine.migrationCount();
-  metrics.energyJoules = machine.energyJoules();
-  if (!metrics.timedOut) {
-    metrics.fairness = fairnessEq4(machine);
-    metrics.processes = processResults(machine);
-  }
+  RunSpec run;
+  run.workloadId = spec.workloadId;
+  run.kind = spec.kind;
+  run.params = spec.params;
+  run.scale = spec.scale;
+  run.seed = spec.seed;
+  run.heterogeneous = false;
+  RunAttachments attachments;
+  attachments.frequencyScript = spec.script;
+  RunSession session{std::move(run), std::move(attachments)};
+  RunMetrics metrics = session.finish();
+  metrics.workload += "+dvfs";
   return metrics;
 }
 

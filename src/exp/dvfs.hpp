@@ -27,6 +27,9 @@ class DvfsScript final : public sim::QuantumPolicy {
 
   [[nodiscard]] util::Tick quantumTicks() const override;
   void onQuantum(sim::Machine& machine) override;
+  [[nodiscard]] bool holdsRunOpen() const override {
+    return inner_->holdsRunOpen();
+  }
 
   [[nodiscard]] int applied() const noexcept { return applied_; }
 

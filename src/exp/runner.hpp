@@ -127,25 +127,25 @@ struct RunMetrics {
   std::vector<core::PredictionErrorPoint> predTrace;
 };
 
-/// Instantiate the scheduler a RunSpec names (public so composed runners —
-/// e.g. exp/dynamic.hpp — can reuse the construction rules). Dike kinds
-/// with `dikeConfig->cluster.clusters >= 1` build a ClusteredDikeScheduler.
+/// Instantiate the scheduler a RunSpec names (exp::RunSession assembles
+/// every run with it). Dike kinds with `dikeConfig->cluster.clusters >= 1`
+/// build a ClusteredDikeScheduler.
 [[nodiscard]] std::unique_ptr<sched::Scheduler> makeScheduler(
     const RunSpec& spec);
 
 /// The machine topology a RunSpec describes: the explicit socket list when
 /// `spec.topology` is non-empty, else the paper testbed (heterogeneous or
-/// homogeneous). Shared by the runner, the soak harness, and replay so a
+/// homogeneous). RunSession builds every run's machine from it, so a
 /// checkpoint always rebuilds the machine it was taken on.
 [[nodiscard]] sim::MachineTopology topologyForSpec(const RunSpec& spec);
 
-/// Assemble the RunMetrics for a finished machine/scheduler pair (shared by
-/// runWorkload and the checkpoint/replay session in exp/replay.hpp).
+/// Assemble the RunMetrics for a finished machine/scheduler pair — the one
+/// collector behind every report (RunSession::finish and runStandalone).
 [[nodiscard]] RunMetrics collectRunMetrics(sim::Machine& machine,
                                            const sim::RunOutcome& outcome,
                                            const sched::Scheduler& scheduler);
 
-/// Run one workload under one scheduler.
+/// Run one workload under one scheduler: RunSession{spec}.finish().
 [[nodiscard]] RunMetrics runWorkload(const RunSpec& spec);
 
 /// Run a single benchmark standalone (8 threads, spread placement, no

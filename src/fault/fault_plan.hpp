@@ -2,8 +2,8 @@
 //
 // A FaultPlan is a seeded, fully deterministic schedule of sensor and
 // actuator faults. It never touches the machine itself — the FaultInjector
-// (counter + actuation seams) and FaultInjectionPolicy (core faults, churn)
-// interpret it. Two runs with the same plan and workload are byte-identical;
+// (counter + actuation seams), FaultInjectionPolicy (core faults) and the
+// run's arrival injector (churn) interpret it. Two runs with the same plan and workload are byte-identical;
 // a default-constructed plan injects nothing, so wiring the fault layer into
 // a run with an empty plan leaves every golden output unchanged.
 #pragma once
@@ -63,9 +63,10 @@ struct CoreFaults {
 };
 
 /// Mid-run thread churn. The fault library only carries the parameters;
-/// the soak harness (src/exp/soak.*) turns them into an arrival schedule
-/// via exp::ArrivalInjector using the plan's forked RNG, keeping this
-/// library free of workload-table dependencies.
+/// every run (exp::RunSession) turns them into an exp::ArrivalInjector
+/// schedule drawn from a fork of the injector's RNG stream, keeping this
+/// library free of workload-table dependencies. The run ends with its
+/// resident work; arrivals still pending then are reported, not awaited.
 struct ChurnFaults {
   int arrivals = 0;           ///< extra short-lived processes to launch
   int threadsPerArrival = 2;  ///< threads per churn process

@@ -26,6 +26,9 @@ class FaultInjectionPolicy final : public sim::QuantumPolicy {
     return inner_->quantumTicks();
   }
   void onQuantum(sim::Machine& machine) override;
+  [[nodiscard]] bool holdsRunOpen() const override {
+    return inner_->holdsRunOpen();
+  }
 
   /// Invoked with `true` when the fault window opens and `false` when it
   /// closes (edge-triggered, before the inner policy runs that quantum).

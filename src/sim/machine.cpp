@@ -899,44 +899,52 @@ void Machine::checkRestored() const {
            std::to_string(threads));
 }
 
-RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits) {
-  return runMachine(machine, policy, limits, RunCursor{}, nullptr);
-}
-
-RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits, RunCursor start,
-                      const QuantumHook& afterQuantum) {
-  util::Tick nextQuantumAt =
-      start.nextQuantumAt >= 0 ? start.nextQuantumAt : policy.quantumTicks();
-  std::int64_t quantumIndex = start.quantumIndex;
+bool stepQuantum(Machine& machine, QuantumPolicy& policy,
+                 const RunLimits& limits, RunCursor& cursor) {
+  if (cursor.nextQuantumAt < 0) cursor.nextQuantumAt = policy.quantumTicks();
   // The stop flag is checked once per loop pass (a quantum boundary at
   // most), so a SIGINT unwinds through the normal return path and every
   // telemetry sink finalises cleanly — never mid-row, never mid-file.
-  while (!machine.allFinished() && machine.now() < limits.maxTicks &&
-         !util::stopRequested()) {
+  while (machine.now() < limits.maxTicks && !util::stopRequested()) {
+    // A policy holding the run open (arrivals pending) keeps time moving
+    // across an idle machine instead of stopping at the last finish.
+    const bool holding = policy.holdsRunOpen();
+    if (machine.allFinished() && !holding) return false;
     const util::Tick target = std::min(
-        limits.maxTicks, std::max(nextQuantumAt, machine.now() + 1));
-    machine.stepUntil(target);
-    if (machine.now() >= nextQuantumAt) {
-      if (machine.allFinished()) break;
+        limits.maxTicks, std::max(cursor.nextQuantumAt, machine.now() + 1));
+    machine.stepUntil(target, /*stopWhenAllFinished=*/!holding);
+    if (machine.now() >= cursor.nextQuantumAt) {
+      if (machine.allFinished() && !holding) return false;
       policy.onQuantum(machine);
       const util::Tick quantum = std::max<util::Tick>(1, policy.quantumTicks());
       telemetry::publish(telemetry::EventKind::QuantumTicks,
-                         static_cast<std::uint32_t>(quantumIndex),
+                         static_cast<std::uint32_t>(cursor.quantumIndex),
                          machine.now(), static_cast<double>(quantum));
       // Schedule from the previous deadline, not the observed tick, so one
       // late quantum cannot shift the whole subsequent schedule. stepUntil
       // never overshoots the target, so the clamp only guards pathological
       // policies that move the deadline into the past.
-      nextQuantumAt = std::max(nextQuantumAt + quantum, machine.now() + 1);
-      if (afterQuantum) afterQuantum(machine, quantumIndex, nextQuantumAt);
-      ++quantumIndex;
+      cursor.nextQuantumAt =
+          std::max(cursor.nextQuantumAt + quantum, machine.now() + 1);
+      ++cursor.quantumIndex;
+      return true;
     }
   }
+  return false;
+}
+
+RunOutcome runOutcome(const Machine& machine) {
   const bool stopped = util::stopRequested() && !machine.allFinished();
   return RunOutcome{machine.now(), !machine.allFinished() && !stopped,
                     stopped};
+}
+
+RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
+                      RunLimits limits) {
+  RunCursor cursor;
+  while (stepQuantum(machine, policy, limits, cursor)) {
+  }
+  return runOutcome(machine);
 }
 
 }  // namespace dike::sim

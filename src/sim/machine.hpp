@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -384,6 +383,10 @@ class QuantumPolicy {
   [[nodiscard]] virtual util::Tick quantumTicks() const = 0;
   /// Invoked at every quantum boundary (and once at t=0 before stepping).
   virtual void onQuantum(Machine& machine) = 0;
+  /// True while the policy still has work to add to the machine (scheduled
+  /// arrivals): the run is not over, and stepping does not stop at the last
+  /// finish, until it turns false. Decorators forward their inner policy's.
+  [[nodiscard]] virtual bool holdsRunOpen() const { return false; }
 };
 
 struct RunLimits {
@@ -399,11 +402,6 @@ struct RunOutcome {
   bool stopped = false;
 };
 
-/// Drive the machine until every thread completes (or the tick limit hits),
-/// invoking the policy at each quantum boundary.
-RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits = {});
-
 /// Where in the quantum schedule a (possibly resumed) run stands.
 /// `nextQuantumAt < 0` means a fresh run: the first deadline is
 /// policy.quantumTicks(). A resumed run must supply the exact deadline the
@@ -415,18 +413,21 @@ struct RunCursor {
   util::Tick nextQuantumAt = -1;
 };
 
-/// Called after each quantum's onQuantum and deadline update, with the index
-/// of the quantum that just completed and the next deadline — everything a
-/// checkpoint needs to resume the loop bit-exactly.
-using QuantumHook =
-    std::function<void(Machine&, std::int64_t quantumIndex,
-                       util::Tick nextQuantumAt)>;
+/// The quantum loop's body, the only place a run steps quanta: advance the
+/// machine to the next quantum boundary, invoke the policy there and move
+/// the cursor past it. Returns false instead once the run is over — every
+/// thread finished and the policy holds nothing open, the tick limit hit,
+/// or util::stopRequested() observed — so a stepped run and one driven by
+/// runMachine execute exactly the same arithmetic.
+[[nodiscard]] bool stepQuantum(Machine& machine, QuantumPolicy& policy,
+                               const RunLimits& limits, RunCursor& cursor);
 
-/// runMachine with an explicit start cursor and an optional per-quantum
-/// hook. The loop body is shared with the plain overload, so a resumed run
-/// executes exactly the arithmetic an uninterrupted run would.
+/// The outcome of a run whose stepQuantum loop has ended.
+[[nodiscard]] RunOutcome runOutcome(const Machine& machine);
+
+/// Drive the machine until the run is over, invoking the policy at each
+/// quantum boundary.
 RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits, RunCursor start,
-                      const QuantumHook& afterQuantum);
+                      RunLimits limits = {});
 
 }  // namespace dike::sim
