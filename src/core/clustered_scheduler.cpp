@@ -314,7 +314,7 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
 
 void ClusteredDikeScheduler::refreshAggregates(bool anyActed) {
   // Keep every aggregate a DikeScheduler consumer reads (reports, metrics
-  // listeners, the soak checker all dynamic_cast to the base) meaningful:
+  // listeners, the soak checker all see the base) meaningful:
   // counters sum across clusters; unfairness is the worst cluster (one
   // starving cluster is an unfair machine); the workload class follows the
   // worst cluster too, since that is the cluster the signal describes.
