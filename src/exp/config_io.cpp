@@ -224,6 +224,23 @@ ExperimentConfig parseExperimentConfig(const util::JsonValue& document) {
   return config;
 }
 
+RunSpec runSpecFor(const ExperimentConfig& config, int workloadId,
+                   SchedulerKind kind, int rep) {
+  RunSpec spec;
+  spec.workloadId = workloadId;
+  spec.kind = kind;
+  spec.scale = config.scale;
+  spec.seed = config.seed + static_cast<std::uint64_t>(rep) * 1000;
+  spec.heterogeneous = config.heterogeneous;
+  spec.topology = config.topology;
+  spec.threadsPerApp = config.threadsPerApp;
+  spec.machine = config.machine;
+  spec.params = config.dike.params;
+  spec.dikeConfig = config.dike;
+  spec.faults = config.faults;
+  return spec;
+}
+
 std::vector<ExperimentCell> runExperiment(const ExperimentConfig& config) {
   return runExperiment(config, std::string{}, 1);
 }
@@ -251,19 +268,7 @@ std::vector<ExperimentCell> runExperiment(const ExperimentConfig& config,
       config.kinds.empty() ? SchedulerKind::Cfs : config.kinds.front();
   for (const int workloadId : config.workloadIds) {
     for (int rep = 0; rep < config.reps; ++rep) {
-      RunSpec spec;
-      spec.workloadId = workloadId;
-      spec.scale = config.scale;
-      spec.seed = config.seed + static_cast<std::uint64_t>(rep) * 1000;
-      spec.heterogeneous = config.heterogeneous;
-      spec.topology = config.topology;
-      spec.threadsPerApp = config.threadsPerApp;
-      spec.machine = config.machine;
-      spec.params = config.dike.params;
-      spec.dikeConfig = config.dike;
-      spec.faults = config.faults;
-
-      spec.kind = SchedulerKind::Cfs;
+      RunSpec spec = runSpecFor(config, workloadId, SchedulerKind::Cfs, rep);
       if (telemetryPending && telemetryKind == SchedulerKind::Cfs) {
         spec.telemetry = config.telemetry.runTelemetry();
         telemetryPending = false;

@@ -127,6 +127,14 @@ struct ExperimentConfig {
 /// Parse a scheduler name ("dike-af"...). Throws on unknown names.
 [[nodiscard]] SchedulerKind schedulerKindFromName(std::string_view name);
 
+/// The spec of one run of the grid: `workloadId` under `kind`, repetition
+/// `rep` (seed + 1000 * rep), carrying every machine, topology, scheduler
+/// and fault setting of `config` and no telemetry. The grid and dike_run's
+/// single checkpointed run both build their runs from it.
+[[nodiscard]] RunSpec runSpecFor(const ExperimentConfig& config,
+                                 int workloadId, SchedulerKind kind,
+                                 int rep = 0);
+
 /// One (workload, scheduler) cell of an experiment, averaged over reps.
 struct ExperimentCell {
   int workloadId = 0;

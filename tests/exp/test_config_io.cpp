@@ -62,6 +62,35 @@ TEST(ConfigIo, MachineAndDikeOverrides) {
   EXPECT_DOUBLE_EQ(config.dike.swapOhMs, core::DikeConfig{}.swapOhMs);
 }
 
+// Every run of a config, grid cell or dike_run's checkpointed single run,
+// carries the whole config: topology, threads per app, machine, Dike and
+// fault settings.
+TEST(ConfigIo, RunSpecForCarriesTheWholeConfig) {
+  const ExperimentConfig config = parseExperimentConfig(parseJson(R"({
+    "scale": 0.2, "seed": 9, "threadsPerApp": 6, "heterogeneous": false,
+    "topology": [{"sockets": 4, "physicalCores": 8, "smtWays": 1,
+                  "freqGhz": 2.33, "type": "fast"}],
+    "machine": {"conflictSpread": 0.05},
+    "dike": {"swapSize": 4, "cluster": {"clusters": 4}},
+    "faults": {"churn": {"arrivals": 2}}
+  })"));
+  const RunSpec spec = runSpecFor(config, 3, SchedulerKind::DikeAF, 2);
+  EXPECT_EQ(spec.workloadId, 3);
+  EXPECT_EQ(spec.kind, SchedulerKind::DikeAF);
+  EXPECT_DOUBLE_EQ(spec.scale, 0.2);
+  EXPECT_EQ(spec.seed, 2009u);
+  EXPECT_FALSE(spec.heterogeneous);
+  EXPECT_EQ(spec.topology.size(), 4u);
+  EXPECT_EQ(spec.threadsPerApp, 6);
+  EXPECT_DOUBLE_EQ(spec.machine.conflictSpread, 0.05);
+  EXPECT_EQ(spec.params.swapSize, 4);
+  ASSERT_TRUE(spec.dikeConfig.has_value());
+  EXPECT_EQ(spec.dikeConfig->cluster.clusters, 4);
+  ASSERT_TRUE(spec.faults.has_value());
+  EXPECT_EQ(spec.faults->churn.arrivals, 2);
+  EXPECT_FALSE(spec.telemetry.any());
+}
+
 TEST(ConfigIo, LivePublishAndSloSectionsParse) {
   const ExperimentConfig config = parseExperimentConfig(parseJson(
       R"({"telemetry": {"enabled": true, "livePublish": true},

@@ -322,18 +322,11 @@ int main(int argc, char** argv) {
       if (config.workloadIds.empty() || config.kinds.empty())
         throw std::runtime_error{
             "config selects no workloads or schedulers"};
-      dike::exp::RunSpec spec;
-      spec.workloadId = config.workloadIds.front();
-      spec.kind = config.kinds.front();
-      spec.scale = config.scale;
-      spec.seed = config.seed;
-      spec.heterogeneous = config.heterogeneous;
-      spec.machine = config.machine;
-      spec.params = config.dike.params;
-      spec.dikeConfig = config.dike;
-      spec.faults = config.faults;
       printSingleRunReport(
-          dike::exp::runWorkloadCheckpointed(spec, checkpointOptions(args)),
+          dike::exp::runWorkloadCheckpointed(
+              dike::exp::runSpecFor(config, config.workloadIds.front(),
+                                    config.kinds.front()),
+              checkpointOptions(args)),
           args);
       return 0;
     }
