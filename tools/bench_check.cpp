@@ -29,7 +29,9 @@
 // vacuously, but LOUDLY: any scaling curve with fewer than two points
 // prints a prominent warning so nobody mistakes a degenerate measurement
 // for a demonstrated claim. --min-decide-parallel-speedup=0 disables the
-// check.
+// floor, not the shape check: in both files every decide_parallel_scaling
+// row must carry jobs >= 1 and a positive decide_p99_ns and
+// speedup_vs_serial, starting at jobs=1 with jobs strictly ascending.
 //
 //   bench_check <baseline.json> <candidate.json> [--max-regression-pct P]
 //               [--max-live-overhead-pct P] [--min-cluster-speedup S]
@@ -42,6 +44,7 @@
 // malformed input.
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,6 +125,39 @@ void warnIfSinglePoint(const dike::util::JsonValue& doc,
                label.c_str(), section, points);
 }
 
+/// Validate a report's decide_parallel_scaling rows, whatever the floor:
+/// every row has jobs >= 1 and a positive decide_p99_ns and
+/// speedup_vs_serial, the first row is the serial jobs=1 run, and jobs
+/// strictly ascends. A malformed curve throws (exit 2). Reports without
+/// the section (older baselines) and the empty curve of a capped smoke run
+/// are accepted.
+void checkDecideParallelShape(const dike::util::JsonValue& doc,
+                              const std::string& label) {
+  const auto curve = doc.get("decide_parallel_scaling");
+  if (!curve) return;
+  if (!curve->isArray())
+    throw std::runtime_error{label +
+                             ": \"decide_parallel_scaling\" is not an array"};
+  int prevJobs = 0;
+  for (const dike::util::JsonValue& row : curve->asArray()) {
+    const int jobs = row.intOr("jobs", 0);
+    if (jobs < 1 || row.numberOr("decide_p99_ns", -1.0) <= 0.0 ||
+        row.numberOr("speedup_vs_serial", -1.0) <= 0.0)
+      throw std::runtime_error{
+          label + ": malformed decide_parallel_scaling row (jobs < 1, or "
+                  "decide_p99_ns/speedup_vs_serial missing/non-positive)"};
+    if (prevJobs == 0 && jobs != 1)
+      throw std::runtime_error{
+          label + ": decide_parallel_scaling must start at the serial "
+                  "jobs=1 row, not jobs=" + std::to_string(jobs)};
+    if (jobs <= prevJobs)
+      throw std::runtime_error{
+          label + ": decide_parallel_scaling jobs must strictly ascend (" +
+          std::to_string(prevJobs) + " then " + std::to_string(jobs) + ")"};
+    prevJobs = jobs;
+  }
+}
+
 /// Gate the candidate's decide_parallel_scaling rows with jobs >= 4
 /// against the wall-clock speedup floor. Reports without the section, or
 /// without any gated row (degenerate single-point curves), pass vacuously.
@@ -199,6 +235,8 @@ int main(int argc, char** argv) {
         dike::util::parseJsonFile(positional[1]);
     const auto baseline = leapRates(baselineDoc, positional[0]);
     const auto candidate = leapRates(candidateDoc, positional[1]);
+    checkDecideParallelShape(baselineDoc, positional[0]);
+    checkDecideParallelShape(candidateDoc, positional[1]);
 
     std::vector<double> ratios;
     std::printf("%-10s %18s %18s %8s\n", "workload", "baseline ticks/s",
