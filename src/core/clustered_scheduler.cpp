@@ -60,6 +60,12 @@ std::string_view ClusteredDikeScheduler::name() const {
   return flatMode() ? DikeScheduler::name() : "dike-clustered";
 }
 
+const DikeScheduler& ClusteredDikeScheduler::instanceFor(int coreId) const {
+  if (clusters_.empty()) return *this;
+  return *clusters_[static_cast<std::size_t>(
+      clusterOfCore_[static_cast<std::size_t>(coreId)])];
+}
+
 DikeConfig ClusteredDikeScheduler::clusterConfig() const {
   DikeConfig sub = configuration();
   // The sub-schedulers must not recurse into clustering, and per-cluster
@@ -313,8 +319,8 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
 }
 
 void ClusteredDikeScheduler::refreshAggregates(bool anyActed) {
-  // Keep every aggregate a DikeScheduler consumer reads (reports, metrics
-  // listeners, the soak checker all see the base) meaningful:
+  // Keep every aggregate a DikeScheduler consumer reads (reports and the
+  // quantum recorder see the base) meaningful:
   // counters sum across clusters; unfairness is the worst cluster (one
   // starving cluster is an unfair machine); the workload class follows the
   // worst cluster too, since that is the cluster the signal describes.

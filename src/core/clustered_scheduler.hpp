@@ -33,6 +33,9 @@ class ClusteredDikeScheduler final : public DikeScheduler {
 
   [[nodiscard]] std::string_view name() const override;
   void onQuantum(sched::SchedulerView& view) override;
+  /// The owning cluster's instance once clusters exist; this object in
+  /// flat mode.
+  [[nodiscard]] const DikeScheduler& instanceFor(int coreId) const override;
 
   /// Clusters requested by the configuration (the resolved count is capped
   /// at the machine's core count on first quantum).

@@ -109,6 +109,14 @@ class DikeScheduler : public sched::Scheduler {
   [[nodiscard]] const QuantumDecisionStats& lastQuantumStats() const noexcept {
     return lastStats_;
   }
+  /// The pipeline instance that observes `coreId`: its Observer holds the
+  /// core's CoreBW estimate and partition, and its tracker scored the
+  /// threads sampled on the core. This object, except in multi-cluster
+  /// mode, where each cluster's instance owns its core span.
+  [[nodiscard]] virtual const DikeScheduler& instanceFor(
+      int /*coreId*/) const {
+    return *this;
+  }
   [[nodiscard]] const DecisionTotals& decisionTotals() const noexcept {
     return totals_;
   }

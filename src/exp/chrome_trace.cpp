@@ -7,6 +7,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/csv.hpp"
@@ -48,6 +49,15 @@ util::JsonObject makeMetadata(std::string_view metaName, int pid, int tid,
   args.emplace("name", std::move(label));
   e.emplace("args", std::move(args));
   return e;
+}
+
+/// `prefix` followed by `n` in decimal ("p3", "core 12"). Built by append:
+/// GCC 12 at -O3 flags `"literal" + std::string` temporaries with a false
+/// -Werror=restrict positive.
+std::string numbered(std::string_view prefix, long long n) {
+  std::string s{prefix};
+  s.append(std::to_string(n));
+  return s;
 }
 
 util::JsonValue numberOrNull(double v) {
@@ -95,7 +105,7 @@ ChromeTraceMeta metaFromEvents(const std::vector<sim::TraceEvent>& events) {
     meta.endTick = std::max(meta.endTick, e.tick);
   }
   for (int p = 0; p <= maxProcess; ++p)
-    meta.processNames.push_back("p" + std::to_string(p));
+    meta.processNames.push_back(numbered("p", p));
   return meta;
 }
 
@@ -116,7 +126,7 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
     if (processId >= 0 &&
         processId < static_cast<int>(meta.processNames.size()))
       return meta.processNames[static_cast<std::size_t>(processId)];
-    return "p" + std::to_string(processId);
+    return numbered("p", processId);
   };
 
   // Track-naming metadata. Core tracks are ordered by core id; labels carry
@@ -124,7 +134,7 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
   out.emplace_back(makeMetadata("process_name", kCoresPid, 0, "cores"));
   out.emplace_back(makeMetadata("process_name", kThreadsPid, 0, "threads"));
   for (int c = 0; c < meta.coreCount; ++c) {
-    std::string label = "core " + std::to_string(c);
+    std::string label = numbered("core ", c);
     if (static_cast<std::size_t>(c) < meta.coreFast.size())
       label += meta.coreFast[static_cast<std::size_t>(c)] ? " [fast" : " [slow";
     if (static_cast<std::size_t>(c) < meta.coreSocket.size())
@@ -142,7 +152,7 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
                                   util::Tick upTo) {
     if (t.core < 0) return;
     util::JsonObject slice =
-        makeSlice("t" + std::to_string(threadId), "residency", kCoresPid,
+        makeSlice(numbered("t", threadId), "residency", kCoresPid,
                   t.core, t.residencyFrom, upTo);
     util::JsonObject args;
     args.emplace("thread", threadId);
@@ -153,14 +163,14 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
   };
   const auto closePhase = [&](int threadId, ThreadState& t, util::Tick upTo) {
     if (t.phase < 0) return;
-    out.emplace_back(makeSlice("phase " + std::to_string(t.phase), "phase",
+    out.emplace_back(makeSlice(numbered("phase ", t.phase), "phase",
                                kThreadsPid, threadId, t.phaseFrom, upTo));
     t.phase = -1;
   };
   const auto closeBarrier = [&](int threadId, ThreadState& t,
                                 util::Tick upTo) {
     if (t.barrier < 0) return;
-    out.emplace_back(makeSlice("barrier " + std::to_string(t.barrier),
+    out.emplace_back(makeSlice(numbered("barrier ", t.barrier),
                                "barrier", kThreadsPid, threadId, t.barrierFrom,
                                upTo));
     t.barrier = -1;
@@ -172,7 +182,7 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
       t.processId = e.processId;
       out.emplace_back(makeMetadata(
           "thread_name", kThreadsPid, e.threadId,
-          "t" + std::to_string(e.threadId) + " " + processName(e.processId)));
+          numbered("t", e.threadId) + " " + processName(e.processId)));
     }
     switch (e.kind) {
       case sim::TraceEventKind::Placement:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -17,7 +16,7 @@
 #include "exp/config_io.hpp"
 #include "exp/analysis.hpp"
 #include "exp/chrome_trace.hpp"
-#include "exp/stream_listener.hpp"
+#include "exp/quantum_recorder.hpp"
 #include "fault/fault_policy.hpp"
 #include "sched/placement.hpp"
 #include "telemetry/aggregator.hpp"
@@ -25,7 +24,6 @@
 #include "telemetry/health.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/quantum_stream.hpp"
-#include "telemetry/slo.hpp"
 #include "util/atomic_file.hpp"
 #include "util/log.hpp"
 
@@ -219,80 +217,63 @@ namespace dike::exp {
 
 namespace {
 
-constexpr double kQuietNaN = std::numeric_limits<double>::quiet_NaN();
-
-/// Publishes the per-quantum live events (thread slowdowns, fairness
-/// spread) into the ring transport and refreshes the aggregator's placement
-/// snapshot for /state. Runs its own SlowdownEstimator over exactly the
-/// inputs QuantumMetricsListener sees, so live aggregates and the NDJSON
-/// stream agree sample-for-sample.
-class LiveQuantumPublisher final : public sched::QuantumListener {
+/// The live plane's reader of the quantum record: thread slowdowns and the
+/// fairness spread into the ring transport, the aggregator's placement
+/// snapshot for /state, and the /healthz heartbeat. It only formats what
+/// the recorder built, so live aggregates and the quantum stream agree
+/// sample for sample.
+class LiveQuantumPublisher final : public QuantumRecordConsumer {
  public:
-  /// `dike` is the run's scheduler when it is a Dike variant, else null.
-  explicit LiveQuantumPublisher(const core::DikeScheduler* dike)
-      : dike_(dike) {}
+  explicit LiveQuantumPublisher(const QuantumRecorder& recorder)
+      : recorder_(&recorder) {}
 
-  void afterQuantum(const sim::Machine& machine,
-                    const sched::SchedulerView& view,
-                    sched::Scheduler& scheduler) override {
-    const sim::QuantumSample& sample = view.sample();
-    observeQuantum(slowdown_, lastTick_, machine, sample);
-
-    const double unfairness =
-        dike_ != nullptr ? dike_->observer().systemUnfairness() : kQuietNaN;
-    const double spread = slowdown_.fairnessSpread();
-
+  void onRecord(const telemetry::QuantumRecord& rec,
+                const sched::SchedulerView& view) override {
+    const double spread = rec.fairnessSpread;
     // Ring events flow every quantum (the live histograms must match the
     // NDJSON stream sample-for-sample), but the /state placement snapshot
     // only feeds a few-Hz dike_top poll — rebuilding and mutex-publishing
     // it per quantum is pure simulation-thread overhead. Refresh every
     // eighth quantum; sub-millisecond staleness at observed quantum rates.
-    const bool refresh = (quantumIndex_ & 0x7) == 0;
+    const bool refresh = (rec.quantumIndex & 0x7) == 0;
     telemetry::LiveState state;
     if (refresh) {
-      state.tick = machine.now();
-      state.quantum = quantumIndex_;
-      state.unfairness = unfairness;
+      state.tick = rec.tick;
+      state.quantum = rec.quantumIndex;
+      state.unfairness = rec.unfairness;
       state.fairnessSpread = std::isnan(spread) ? 0.0 : spread;
-      state.scheduler.assign(scheduler.name());
+      state.scheduler = rec.scheduler;
       state.cores.reserve(static_cast<std::size_t>(view.coreCount()));
       for (int core = 0; core < view.coreCount(); ++core) {
         telemetry::LiveCoreState c;
         c.core = core;
         c.thread = view.coreOccupant(core);
-        if (dike_ != nullptr && dike_->observer().ready())
-          c.highBw = dike_->observer().isHighBandwidthCore(core);
+        c.highBw = recorder_->highBandwidthCore(core) == 1;
         state.cores.push_back(c);
       }
     }
-    for (const sim::ThreadSample& s : sample.threads) {
-      if (s.finished || s.coreId < 0) continue;
-      const double sd = slowdown_.slowdownOf(s.threadId);
+    for (const telemetry::QuantumThreadRecord& t : rec.threads) {
       telemetry::publish(telemetry::EventKind::ThreadSlowdown,
-                         static_cast<std::uint32_t>(s.threadId),
-                         machine.now(), sd);
+                         static_cast<std::uint32_t>(t.threadId), rec.tick,
+                         t.slowdown);
       if (refresh) {
-        auto& c = state.cores[static_cast<std::size_t>(s.coreId)];
-        c.process = s.processId;
-        c.slowdown = std::isnan(sd) ? 0.0 : sd;
+        auto& c = state.cores[static_cast<std::size_t>(t.coreId)];
+        c.process = t.processId;
+        c.slowdown = std::isnan(t.slowdown) ? 0.0 : t.slowdown;
       }
     }
     telemetry::publish(telemetry::EventKind::FairnessSpread,
-                       static_cast<std::uint32_t>(quantumIndex_),
-                       machine.now(), spread, unfairness);
+                       static_cast<std::uint32_t>(rec.quantumIndex), rec.tick,
+                       spread, rec.unfairness);
     if (refresh)
       telemetry::Aggregator::instance().updateLiveState(std::move(state));
     // Liveness stamp for /healthz (two relaxed stores — negligible against
     // the live-plane overhead gate): this quantum just completed, now.
-    telemetry::heartbeat(quantumIndex_);
-    ++quantumIndex_;
+    telemetry::heartbeat(rec.quantumIndex);
   }
 
  private:
-  const core::DikeScheduler* dike_;
-  std::int64_t quantumIndex_ = 0;
-  util::Tick lastTick_ = 0;
-  telemetry::SlowdownEstimator slowdown_;
+  const QuantumRecorder* recorder_;
 };
 
 }  // namespace
@@ -334,9 +315,12 @@ RunSession::RunSession(RunSpec spec, RunAttachments attachments)
   scheduler_ = makeScheduler(spec_);
   dike_ = dynamic_cast<core::DikeScheduler*>(scheduler_.get());
   adapter_.emplace(*scheduler_);
+  quantumRecorder_ = std::make_unique<QuantumRecorder>(dike_);
   attachTelemetry();
-  listeners_.add(attachments.listener);
-  if (listeners_.size() > 0) adapter_->setListener(&listeners_);
+  if (attachments.consumer != nullptr)
+    quantumRecorder_->addConsumer(*attachments.consumer);
+  if (quantumRecorder_->hasReaders())
+    adapter_->setListener(quantumRecorder_.get());
 
   // The policy chain, innermost first: adapter, frequency script, arrivals,
   // then the fault layer in front of everything. An absent or empty fault
@@ -394,35 +378,22 @@ void RunSession::attachTelemetry() {
     attachQuantumStream(streamFile_->writer());
   }
   if (tel.livePublish) {
-    livePublisher_ = std::make_unique<LiveQuantumPublisher>(dike_);
-    listeners_.add(livePublisher_.get());
+    livePublisher_ = std::make_unique<LiveQuantumPublisher>(*quantumRecorder_);
+    quantumRecorder_->addConsumer(*livePublisher_);
   }
-  if (!tel.any()) return;
+  // The Chrome trace is the decision trace's only reader.
+  if (tel.chromeTracePath.empty() || dike_ == nullptr) return;
   decisions_ = std::make_unique<telemetry::DecisionTrace>();
-  if (dike_ != nullptr) dike_->setDecisionTrace(decisions_.get());
-  // Route live-SLO alerts into this run's decision trace so breach records
-  // line up with the scheduler decisions around them.
-  if (tel.livePublish) {
-    sloDetach_.slo = telemetry::Aggregator::instance().slo();
-    if (sloDetach_.slo != nullptr)
-      sloDetach_.slo->setDecisionTrace(decisions_.get());
-  }
-}
-
-RunSession::SloDetach::~SloDetach() {
-  if (slo == nullptr) return;
-  telemetry::Aggregator::instance().drainNow();
-  slo->setDecisionTrace(nullptr);
+  dike_->setDecisionTrace(decisions_.get());
 }
 
 RunSession::~RunSession() = default;
 
 void RunSession::attachQuantumStream(telemetry::QuantumStreamWriter& writer) {
-  if (streamListener_)
+  if (quantumRecorder_->streams())
     throw std::logic_error{"the run already has a quantum stream"};
-  streamListener_ = std::make_unique<QuantumMetricsListener>(writer, dike_);
-  listeners_.add(streamListener_.get());
-  adapter_->setListener(&listeners_);
+  quantumRecorder_->attachWriter(writer);
+  adapter_->setListener(quantumRecorder_.get());
 }
 
 void RunSession::setDecideJobs(int jobs) {
@@ -461,7 +432,8 @@ RunMetrics RunSession::finish(const CheckpointOptions& opts) {
     if (!tel.chromeTracePath.empty()) {
       const util::JsonValue doc = buildChromeTrace(
           recorder_->events(), metaFromMachine(*machine_),
-          decisions_->records().empty() ? nullptr : decisions_.get());
+          decisions_ && !decisions_->records().empty() ? decisions_.get()
+                                                       : nullptr);
       util::writeFileAtomic(tel.chromeTracePath, doc.dump(2) + "\n");
     }
     machine_->setTraceRecorder(nullptr);
@@ -508,23 +480,14 @@ void RunSession::fields(Ar& ar) {
     ar.nested(*faultPolicy_);
   }
   // The stream cursor rides in the payload when a stream is attached:
-  // resumed NDJSON records are only byte-identical if the listener's
-  // path-dependent accumulators restart exactly (format version 2).
-  bool hasStream = streamListener_ != nullptr;
+  // resumed NDJSON records are only byte-identical if the recorder's
+  // path-dependent accumulators restart exactly (format version 2). A
+  // restore without a stream loads the cursor all the same; its payloads
+  // then lose the cursor, symmetrically on both sides of a dike_diff
+  // comparison.
+  bool hasStream = quantumRecorder_->streams();
   ar.io("hasQuantumStream", hasStream);
-  if (hasStream && streamListener_ != nullptr) {
-    ar.nested(*streamListener_);
-  } else if (hasStream) {
-    // Only a restore without a stream gets here. Consume (and drop) the
-    // cursor so stream-less consumers can still restore supervised
-    // checkpoints; their payloads simply lose the cursor, symmetrically on
-    // both sides of a dike_diff comparison.
-    std::ostringstream devnull;
-    telemetry::QuantumStreamWriter sink{devnull,
-                                        telemetry::StreamFormat::JsonLines};
-    QuantumMetricsListener discard{sink, dike_};
-    ar.nested(discard);
-  }
+  if (hasStream) ar.nested(*quantumRecorder_);
 }
 
 // The payload is a "run" section: the spec the session is rebuilt from,

@@ -33,12 +33,12 @@ namespace dike::telemetry {
 class DecisionTrace;
 class QuantumStreamFile;
 class QuantumStreamWriter;
-class SloMonitor;
 }  // namespace dike::telemetry
 
 namespace dike::exp {
 
-class QuantumMetricsListener;
+class QuantumRecordConsumer;
+class QuantumRecorder;
 
 /// Encode a RunSpec as JSON (embedded in every checkpoint). 64-bit seeds
 /// are written as decimal strings — JSON numbers are doubles and lose
@@ -71,11 +71,11 @@ struct CheckpointOptions {
 
 /// What a run carries beyond its RunSpec. None of it is part of a
 /// checkpoint: writeCheckpoint() refuses a session with an arrival schedule
-/// or a frequency script (the listener only observes).
+/// or a frequency script (the consumer only observes).
 struct RunAttachments {
-  /// Observes every quantum after the telemetry sinks (the soak's invariant
-  /// and SLO checker). Must outlive the session.
-  sched::QuantumListener* listener = nullptr;
+  /// Reads every quantum's record after the telemetry sinks (the soak's
+  /// invariant and SLO checker). Must outlive the session.
+  QuantumRecordConsumer* consumer = nullptr;
   /// Open-system arrivals (exp/dynamic.hpp): the run is not over while one
   /// is pending. Cannot be combined with fault-plan churn.
   std::vector<Arrival> arrivals;
@@ -87,8 +87,10 @@ struct RunAttachments {
 /// any quantum boundary. The constructor assembles the whole stack from the
 /// spec: the machine with its workload and placement, the scheduler and its
 /// adapter, the fault layer with churn arrivals from `spec.faults`, and the
-/// sinks `spec.telemetry` asks for, plus `attachments`. Not movable — the
-/// policies and listeners hold pointers into sibling members — so restore()
+/// sinks `spec.telemetry` asks for, plus `attachments`. One QuantumRecorder
+/// builds each quantum's record for every sink that reads it; it is the
+/// adapter's listener only when such a reader exists. Not movable — the
+/// policies and readers hold pointers into sibling members — so restore()
 /// hands back a unique_ptr.
 class RunSession {
  public:
@@ -130,10 +132,11 @@ class RunSession {
   /// the embedded RunSpec, then overwrites the mutable state. Throws
   /// ckpt::CheckpointError on any corruption, version, or schema mismatch —
   /// never returns a partially-restored session. When the checkpoint was
-  /// taken from a stream-attached run and `stream` is given, the listener
-  /// is reattached with its saved cursor (byte-identical resumed records);
-  /// with `stream == nullptr` the cursor is read and discarded, so
-  /// stream-less consumers (dike_diff) restore supervised checkpoints too.
+  /// taken from a stream-attached run and `stream` is given, the stream is
+  /// reattached with the recorder's saved cursor (byte-identical resumed
+  /// records); with `stream == nullptr` the recorder still loads the cursor
+  /// but nothing reads it and a re-save drops it, so stream-less callers
+  /// (dike_diff) restore supervised checkpoints too.
   [[nodiscard]] static std::unique_ptr<RunSession> restore(
       const std::string& path,
       telemetry::QuantumStreamWriter* stream = nullptr);
@@ -158,13 +161,6 @@ class RunSession {
   }
 
  private:
-  /// Detaches the live SLO monitor from this run's decision trace (after a
-  /// final drain) however the session ends, constructor throws included.
-  struct SloDetach {
-    telemetry::SloMonitor* slo = nullptr;
-    ~SloDetach();
-  };
-
   void attachTelemetry();
   [[nodiscard]] bool hasChurn() const noexcept {
     return spec_.faults && spec_.faults->churn.arrivals > 0;
@@ -183,13 +179,11 @@ class RunSession {
   sim::QuantumPolicy* policy_ = nullptr;
   sim::RunLimits limits_{};
   sim::RunCursor cursor_{};
-  sched::QuantumListenerChain listeners_;
+  std::unique_ptr<QuantumRecorder> quantumRecorder_;
   std::unique_ptr<telemetry::QuantumStreamFile> streamFile_;
-  std::unique_ptr<QuantumMetricsListener> streamListener_;
-  std::unique_ptr<sched::QuantumListener> livePublisher_;
+  std::unique_ptr<QuantumRecordConsumer> livePublisher_;
   std::unique_ptr<sim::TraceRecorder> recorder_;
   std::unique_ptr<telemetry::DecisionTrace> decisions_;
-  SloDetach sloDetach_;  ///< after decisions_: detaches before it dies
   std::string payloadBuffer_;  ///< reused by writeCheckpoint
 
   /// The checkpointed run state after the spec (ckpt/fields.hpp).

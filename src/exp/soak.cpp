@@ -4,10 +4,8 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/dike_scheduler.hpp"
+#include "exp/quantum_recorder.hpp"
 #include "exp/replay.hpp"
-#include "exp/stream_listener.hpp"
-#include "telemetry/slowdown.hpp"
 #include "util/types.hpp"
 
 namespace dike::exp {
@@ -31,27 +29,22 @@ fault::FaultPlan defaultSoakPlan(util::Tick startTick, util::Tick endTick,
 
 namespace {
 
-/// Checks the soak invariants once per quantum, over the sample the
-/// scheduler actually saw (i.e. after the fault filter ran).
-class SoakInvariantListener final : public sched::QuantumListener {
+/// Checks the soak invariants once per quantum, over the record and the
+/// sample the scheduler actually saw (i.e. after the fault filter ran).
+class SoakInvariantChecker final : public QuantumRecordConsumer {
  public:
-  /// `slo` may be null (SLO checking disabled). When set, the listener
-  /// feeds the monitor the same per-quantum fairness spread the live
-  /// aggregator would see, evaluated synchronously so soak verdicts stay
+  /// `slo` may be null (SLO checking disabled). When set, the checker
+  /// feeds the monitor the record's fairness spread — the value the live
+  /// aggregator would see — evaluated synchronously so soak verdicts stay
   /// deterministic.
-  explicit SoakInvariantListener(telemetry::SloMonitor* slo = nullptr)
+  explicit SoakInvariantChecker(telemetry::SloMonitor* slo = nullptr)
       : slo_(slo) {}
 
-  void afterQuantum(const sim::Machine& machine,
-                    const sched::SchedulerView& view,
-                    sched::Scheduler& scheduler) override {
+  void onRecord(const telemetry::QuantumRecord& record,
+                const sched::SchedulerView& view) override {
     const sim::QuantumSample& sample = view.sample();
-    if (slo_ != nullptr) {
-      observeQuantum(slowdown_, lastTick_, machine, sample);
-      const double spread = slowdown_.fairnessSpread();
-      if (std::isfinite(spread))
-        slo_->observeFairnessSpread(quantaChecked_, spread);
-    }
+    if (slo_ != nullptr && std::isfinite(record.fairnessSpread))
+      slo_->observeFairnessSpread(record.quantumIndex, record.fairnessSpread);
     ++quantaChecked_;
 
     for (const double bw : sample.coreAchievedBw)
@@ -73,11 +66,10 @@ class SoakInvariantListener final : public sched::QuantumListener {
       if (occupancy != 1) ++placementViolations_;
     }
 
-    if (const auto* dike =
-            dynamic_cast<const core::DikeScheduler*>(&scheduler))
-      if (dike->observer().ready() &&
-          !std::isfinite(dike->observer().systemUnfairness()))
-        ++nanViolations_;
+    // Dike's fairness signal stays finite. Only Dike records carry a
+    // workload class; every other policy's unfairness is NaN by schema.
+    if (!record.workloadClass.empty() && !std::isfinite(record.unfairness))
+      ++nanViolations_;
   }
 
   [[nodiscard]] std::int64_t quantaChecked() const noexcept {
@@ -92,8 +84,6 @@ class SoakInvariantListener final : public sched::QuantumListener {
 
  private:
   telemetry::SloMonitor* slo_;
-  telemetry::SlowdownEstimator slowdown_;
-  util::Tick lastTick_ = 0;
   std::int64_t quantaChecked_ = 0;
   std::int64_t nanViolations_ = 0;
   std::int64_t placementViolations_ = 0;
@@ -122,9 +112,9 @@ SoakReport runOnce(const SoakSpec& spec, bool withFaults) {
 
   std::optional<telemetry::SloMonitor> slo;
   if (spec.slo.enabled) slo.emplace(spec.slo);
-  SoakInvariantListener invariants{slo ? &*slo : nullptr};
+  SoakInvariantChecker invariants{slo ? &*slo : nullptr};
   RunAttachments attachments;
-  attachments.listener = &invariants;
+  attachments.consumer = &invariants;
   RunSession session{std::move(runSpec), std::move(attachments)};
 
   SoakReport run;

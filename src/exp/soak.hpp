@@ -3,7 +3,7 @@
 //
 // The soak is the fault framework's acceptance gate. It drives a workload
 // through a fault window (counter corruption, failed actuations, frequency
-// dips, thread churn) while a per-quantum listener asserts the invariants
+// dips, thread churn) while a per-quantum checker asserts the invariants
 // that must hold no matter what is injected:
 //   * no NaN/negative value ever escapes the counter path into a sample,
 //   * the placement stays consistent — every live sampled thread occupies

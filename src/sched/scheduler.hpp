@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "sim/machine.hpp"
 #include "util/types.hpp"
@@ -167,8 +166,8 @@ class Scheduler {
 };
 
 /// Observer of quantum boundaries, called after the scheduler has made its
-/// decisions for the quantum. Telemetry sinks (the per-quantum metrics
-/// stream) implement this; the sched layer stays ignorant of file formats.
+/// decisions for the quantum. The per-quantum recorder (exp layer)
+/// implements this; the sched layer stays ignorant of file formats.
 class QuantumListener {
  public:
   virtual ~QuantumListener() = default;
@@ -179,28 +178,6 @@ class QuantumListener {
   virtual void afterQuantum(const sim::Machine& machine,
                             const SchedulerView& view,
                             Scheduler& scheduler) = 0;
-};
-
-/// Fans one listener slot out to several listeners, in attachment order.
-/// SchedulerAdapter holds a single listener pointer; runs that want both
-/// the quantum-metrics stream and the live ring publisher (or the soak
-/// invariant checker) chain them through this.
-class QuantumListenerChain final : public QuantumListener {
- public:
-  void add(QuantumListener* listener) {
-    if (listener != nullptr) listeners_.push_back(listener);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return listeners_.size(); }
-
-  void afterQuantum(const sim::Machine& machine, const SchedulerView& view,
-                    Scheduler& scheduler) override {
-    for (QuantumListener* listener : listeners_) {
-      listener->afterQuantum(machine, view, scheduler);
-    }
-  }
-
- private:
-  std::vector<QuantumListener*> listeners_;
 };
 
 /// Adapts a Scheduler onto the engine's QuantumPolicy hook, sampling the

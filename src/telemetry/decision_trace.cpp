@@ -30,18 +30,6 @@ void DecisionTrace::annotateLastUnfairnessNext(double unfairness) noexcept {
 void DecisionTrace::clear() {
   records_.clear();
   dropped_ = 0;
-  const std::lock_guard lock{alertsMu_};
-  alerts_.clear();
-}
-
-void DecisionTrace::recordAlert(SloAlertRecord alert) {
-  const std::lock_guard lock{alertsMu_};
-  if (alerts_.size() < capacity_) alerts_.push_back(std::move(alert));
-}
-
-std::vector<SloAlertRecord> DecisionTrace::alerts() const {
-  const std::lock_guard lock{alertsMu_};
-  return alerts_;
 }
 
 }  // namespace dike::telemetry

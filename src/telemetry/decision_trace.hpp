@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,18 +68,6 @@ struct DecisionRecord {
   std::vector<MigrationDecisionRecord> migrations;
 };
 
-/// One SLO breach/recovery event, interleaved with the decision records so
-/// post-hoc analysis can line alerts up against the decisions that caused
-/// (or failed to fix) them. `signal` names the monitored series
-/// ("fairness_spread", "prediction_abs_error").
-struct SloAlertRecord {
-  std::int64_t quantumIndex = 0;
-  std::string signal;
-  double windowedValue = 0.0;  ///< windowed mean that crossed the target
-  double target = 0.0;
-  bool entered = true;  ///< true = breach entered, false = recovered
-};
-
 /// Bounded in-memory store for decision records (mirrors sim::TraceRecorder
 /// semantics: drops beyond capacity, reports how many were dropped).
 class DecisionTrace {
@@ -98,18 +85,10 @@ class DecisionTrace {
   }
   [[nodiscard]] std::size_t dropped() const noexcept { return dropped_; }
 
-  /// SLO alert stream. Unlike the single-writer decision records, alerts
-  /// may arrive from the aggregator thread while the run thread appends
-  /// decisions, so the alert store is independently mutex-protected.
-  void recordAlert(SloAlertRecord alert);
-  [[nodiscard]] std::vector<SloAlertRecord> alerts() const;
-
  private:
   std::size_t capacity_;
   std::size_t dropped_ = 0;
   std::vector<DecisionRecord> records_;
-  mutable std::mutex alertsMu_;
-  std::vector<SloAlertRecord> alerts_;
 };
 
 }  // namespace dike::telemetry

@@ -91,11 +91,6 @@ SloMonitor::SloMonitor(SloConfig config) : config_(std::move(config)) {
   predErr_.values.assign(window, 0.0);
 }
 
-void SloMonitor::setDecisionTrace(DecisionTrace* trace) noexcept {
-  const std::lock_guard lock{mu_};
-  trace_ = trace;
-}
-
 void SloMonitor::observeFairnessSpread(std::int64_t quantumIndex,
                                        double spread) {
   if (!config_.enabled) return;
@@ -142,7 +137,6 @@ void SloMonitor::observe(Window& window, std::int64_t quantumIndex,
     if (firstBreachQuantum_ < 0) firstBreachQuantum_ = quantumIndex;
   }
   alerts_.push_back(alert);
-  if (trace_ != nullptr) trace_->recordAlert(alert);
   publishRegistryState();
 }
 

@@ -7,8 +7,7 @@
 // The monitor keeps a sliding window per monitored signal, flags the
 // transition into (and out of) breach, counts breaches, mirrors its state
 // into the telemetry registry (slo.* counters/gauges, visible on /metrics),
-// and emits structured SloAlertRecords into the run's decision trace so
-// alerts line up with the scheduler decisions around them.
+// and keeps every transition as a structured SloAlertRecord.
 //
 // Evaluation sites: the background aggregator feeds it from FairnessSpread
 // ring events during a live run; the fault-soak harness calls observe()
@@ -20,10 +19,19 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/decision_trace.hpp"
 #include "util/json.hpp"
 
 namespace dike::telemetry {
+
+/// One SLO breach/recovery event. `signal` names the monitored series
+/// ("fairness_spread", "prediction_abs_error").
+struct SloAlertRecord {
+  std::int64_t quantumIndex = 0;
+  std::string signal;
+  double windowedValue = 0.0;  ///< windowed mean that crossed the target
+  double target = 0.0;
+  bool entered = true;  ///< true = breach entered, false = recovered
+};
 
 /// Targets for one run. Disabled targets are NaN/0 and never evaluate.
 struct SloConfig {
@@ -53,9 +61,6 @@ struct SloConfig {
 class SloMonitor {
  public:
   explicit SloMonitor(SloConfig config = {});
-
-  /// Route alert records into a run's decision trace (nullptr detaches).
-  void setDecisionTrace(DecisionTrace* trace) noexcept;
 
   /// Feed one quantum's fairness spread (NaN observations are skipped but
   /// still advance the warmup). Thread-safe.
@@ -101,7 +106,6 @@ class SloMonitor {
   std::int64_t breaches_ = 0;
   std::int64_t firstBreachQuantum_ = -1;
   std::vector<SloAlertRecord> alerts_;
-  DecisionTrace* trace_ = nullptr;
 };
 
 }  // namespace dike::telemetry

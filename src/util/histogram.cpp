@@ -77,7 +77,7 @@ std::string Histogram::render(int barWidth) const {
         static_cast<double>(counts_[b]) * barWidth /
         static_cast<double>(peak)));
     out.append(counts_[b] > 0 ? std::max<std::size_t>(bar, 1) : 0, '#');
-    out += " " + std::to_string(counts_[b]) + "\n";
+    out.append(" ").append(std::to_string(counts_[b])).append("\n");
   }
   return out;
 }

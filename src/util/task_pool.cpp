@@ -26,7 +26,7 @@ TaskPool::TaskPool(int jobs) {
   for (int i = 0; i < jobCount_; ++i)
     workers_.emplace_back([this, i](const std::stop_token& stop) {
       // Tag the worker's log lines so interleaved output is attributable.
-      util::Log::setThreadTag("w" + std::to_string(i));
+      util::Log::setThreadTag(std::string{"w"}.append(std::to_string(i)));
       workerLoop(stop);
     });
 }

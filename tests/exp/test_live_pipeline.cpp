@@ -107,17 +107,12 @@ StreamAggregates aggregateNdjson(const std::string& path) {
   return agg;
 }
 
-// The acceptance differential: one run writes the NDJSON quantum stream
-// AND publishes into the live ring plane; after a final drain, the live
-// histograms must agree with the file aggregates exactly — same sample
-// counts (NaNs tallied separately on both sides), same sum/min/max.
-TEST_F(LivePipelineEndToEnd, LiveHistogramsMatchQuantumStreamAggregates) {
-  const std::string path = ::testing::TempDir() + "live_diff.jsonl";
-  dike::exp::RunSpec spec;
-  spec.workloadId = 2;
-  spec.kind = dike::exp::SchedulerKind::Dike;
-  spec.scale = 0.05;
-  spec.seed = 42;
+/// The acceptance differential: one run writes the NDJSON quantum stream
+/// AND publishes into the live ring plane; after a final drain, the live
+/// histograms must agree with the file aggregates exactly — same sample
+/// counts (NaNs tallied separately on both sides), same sum/min/max.
+void expectLiveMatchesQuantumStream(dike::exp::RunSpec spec,
+                                    const std::string& path) {
   spec.telemetry.quantumMetricsPath = path;
   spec.telemetry.livePublish = true;
   (void)dike::exp::runWorkload(spec);
@@ -148,6 +143,31 @@ TEST_F(LivePipelineEndToEnd, LiveHistogramsMatchQuantumStreamAggregates) {
 
   // One FairnessSpread event per quantum record, no more, no less.
   EXPECT_EQ(spread.count + spreadHist.nanCount(), file.records);
+}
+
+TEST_F(LivePipelineEndToEnd, LiveHistogramsMatchQuantumStreamAggregates) {
+  dike::exp::RunSpec spec;
+  spec.workloadId = 2;
+  spec.kind = dike::exp::SchedulerKind::Dike;
+  spec.scale = 0.05;
+  spec.seed = 42;
+  expectLiveMatchesQuantumStream(spec,
+                                 ::testing::TempDir() + "live_diff.jsonl");
+
+  // The same agreement on a four-cluster Dike run, whose Dike facts come
+  // from the per-cluster instances.
+  SetUp();  // fresh aggregator + registry
+  spec.scale = 0.1;
+  spec.threadsPerApp = 6;
+  for (int s = 0; s < 4; ++s) {
+    const bool fast = s % 2 == 0;
+    spec.topology.push_back({8, 1, fast ? 2.33 : 1.21,
+                             fast ? dike::sim::CoreType::Fast
+                                  : dike::sim::CoreType::Slow});
+  }
+  spec.dikeConfig.emplace().cluster.clusters = 4;
+  expectLiveMatchesQuantumStream(
+      spec, ::testing::TempDir() + "live_diff_clustered.jsonl");
 }
 
 // The same run executed twice must feed the live plane identically — the
@@ -196,6 +216,24 @@ std::string waitForFile(const std::string& path, int timeoutMs) {
   return "";
 }
 
+/// Poll /healthz on `port` until the run reports a completed quantum.
+/// Returns false when none completes within `timeoutMs`.
+bool waitForFirstQuantum(std::uint16_t port, int timeoutMs) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
+  while (std::chrono::steady_clock::now() < deadline) {
+    try {
+      const util::JsonValue health =
+          util::parseJson(telemetry::httpGet(port, "/healthz"));
+      if (health.numberOr("lastQuantum", -1.0) >= 0.0) return true;
+    } catch (const std::exception&) {
+      // The server may not accept yet; poll again.
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
 // SIGINT against a live run: the stop handler requests a quantum-boundary
 // unwind, every telemetry output is flushed whole (no truncated NDJSON
 // line), and the process exits 130.
@@ -224,10 +262,13 @@ TEST(LiveSubprocess, SigintFlushesOutputsAndExits130) {
     ::_exit(127);  // exec failed
   }
 
-  ASSERT_FALSE(waitForFile(portFile, 15000).empty())
-      << "dike_run never published its ephemeral port";
-  // Let a few quanta stream before interrupting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const std::string port = waitForFile(portFile, 15000);
+  ASSERT_FALSE(port.empty()) << "dike_run never published its ephemeral port";
+  // Interrupt once a quantum has completed, so the stream has rows to
+  // flush however slowly this build runs.
+  ASSERT_TRUE(waitForFirstQuantum(
+      static_cast<std::uint16_t>(std::stoi(port)), 60000))
+      << "dike_run completed no quantum within 60 s";
   ASSERT_EQ(::kill(pid, SIGINT), 0);
 
   int status = 0;

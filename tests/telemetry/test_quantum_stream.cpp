@@ -217,6 +217,46 @@ TEST(QuantumStream, RunPopulatesSlowdownAndFairnessSpreadColumns) {
   EXPECT_GT(spreadRows, 0);
 }
 
+// Clustered Dike keeps its Observer and predictor in the per-cluster
+// instances; the record must still carry their facts — the fairness
+// signal, the CoreBW partition and the scored predictions.
+TEST(QuantumStream, ClusteredRunCarriesDikesFacts) {
+  const std::string path = ::testing::TempDir() + "qs_clustered.ndjson";
+  dike::exp::RunSpec spec = streamSpec(path);
+  spec.scale = 0.1;
+  spec.threadsPerApp = 6;
+  for (int s = 0; s < 4; ++s) {
+    const bool fast = s % 2 == 0;
+    spec.topology.push_back({8, 1, fast ? 2.33 : 1.21,
+                             fast ? dike::sim::CoreType::Fast
+                                  : dike::sim::CoreType::Slow});
+  }
+  spec.dikeConfig.emplace().cluster.clusters = 4;
+  (void)dike::exp::runWorkload(spec);
+
+  std::ifstream in{path};
+  ASSERT_TRUE(in.is_open());
+  int records = 0;
+  int unfairRecords = 0;
+  int highBwRows = 0;
+  int predictedRows = 0;
+  for (std::string line; std::getline(in, line); ++records) {
+    const dike::util::JsonValue doc = dike::util::parseJson(line);
+    EXPECT_EQ(doc.stringOr("scheduler", ""), "dike-clustered");
+    const double unfairness = doc.numberOr("unfairness", 0.0);
+    if (std::isfinite(unfairness) && unfairness != 0.0) ++unfairRecords;
+    const dike::util::JsonValue threads = *doc.get("threads");
+    for (const dike::util::JsonValue& t : threads.asArray()) {
+      if (!t.get("high_bw_core")->isNull()) ++highBwRows;
+      if (!t.get("predicted_rate")->isNull()) ++predictedRows;
+    }
+  }
+  ASSERT_GT(records, 0);
+  EXPECT_GT(unfairRecords, 0) << "no record carries the fairness signal";
+  EXPECT_GT(highBwRows, 0) << "no thread row carries a CoreBW partition";
+  EXPECT_GT(predictedRows, 0) << "no thread row carries a prediction";
+}
+
 TEST(QuantumStream, IdenticalRunsProduceIdenticalStreams) {
   const std::string a = ::testing::TempDir() + "qs_det_a.csv";
   const std::string b = ::testing::TempDir() + "qs_det_b.csv";

@@ -115,20 +115,6 @@ TEST(SloMonitor, PredictionErrorChannelIsIndependentlyTargeted) {
   EXPECT_EQ(slo.alerts().front().signal, "prediction_abs_error");
 }
 
-TEST(SloMonitor, AlertsRouteIntoTheDecisionTrace) {
-  telemetry::DecisionTrace trace;
-  telemetry::SloMonitor slo{config(1.25, 2)};
-  slo.setDecisionTrace(&trace);
-  slo.observeFairnessSpread(0, 2.0);
-  slo.observeFairnessSpread(1, 2.0);
-  const std::vector<telemetry::SloAlertRecord> alerts = trace.alerts();
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_TRUE(alerts[0].entered);
-  EXPECT_EQ(alerts[0].signal, "fairness_spread");
-  EXPECT_NEAR(alerts[0].windowedValue, 2.0, 1e-12);
-  EXPECT_NEAR(alerts[0].target, 1.25, 1e-12);
-}
-
 // --- config parsing ------------------------------------------------------
 
 TEST(SloConfig, ParsesAFullSection) {
