@@ -25,9 +25,11 @@ const std::string& formatDouble(std::string& buf, double v) {
   return buf;
 }
 
-util::JsonValue jsonNumberOrNull(double v) {
-  if (std::isnan(v)) return util::JsonValue{nullptr};
-  return util::JsonValue{v};
+void appendNumberOrNull(std::string& out, double v) {
+  if (std::isnan(v))
+    out += "null";
+  else
+    util::appendJsonNumber(out, v);
 }
 
 }  // namespace
@@ -92,43 +94,69 @@ void QuantumStreamWriter::writeCsv(const QuantumRecord& record) {
 }
 
 void QuantumStreamWriter::writeJsonLine(const QuantumRecord& record) {
-  util::JsonArray threads;
-  threads.reserve(record.threads.size());
+  // The line util::JsonValue::dump would print for the record as an object:
+  // keys in std::map (alphabetical) order, numbers and strings through the
+  // same appenders, NaN as null. Appended directly into a reused buffer
+  // instead of building a map per thread row.
+  std::string& s = line_;
+  s.clear();
+  s += "{\"fairness_spread\":";
+  appendNumberOrNull(s, record.fairnessSpread);
+  s += ",\"migrations_executed\":";
+  util::appendJsonNumber(s, static_cast<double>(record.migrationsExecuted));
+  s += ",\"quanta_length_ms\":";
+  util::appendJsonNumber(s, record.quantaLengthMs);
+  s += ",\"quantum\":";
+  util::appendJsonNumber(s, static_cast<double>(record.quantumIndex));
+  s += ",\"scheduler\":";
+  util::appendJsonString(s, record.scheduler);
+  s += ",\"swap_size\":";
+  util::appendJsonNumber(s, record.swapSize);
+  s += ",\"swaps_executed\":";
+  util::appendJsonNumber(s, static_cast<double>(record.swapsExecuted));
+  s += ",\"threads\":[";
+  bool first = true;
   for (const QuantumThreadRecord& t : record.threads) {
-    util::JsonObject o;
-    o.emplace("thread", t.threadId);
-    o.emplace("process", t.processId);
-    o.emplace("core", t.coreId);
-    o.emplace("high_bw_core",
-              t.highBandwidthCore < 0
-                  ? util::JsonValue{nullptr}
-                  : util::JsonValue{t.highBandwidthCore != 0});
-    o.emplace("access_rate", jsonNumberOrNull(t.accessRate));
-    o.emplace("llc_miss_ratio", jsonNumberOrNull(t.llcMissRatio));
-    o.emplace("core_achieved_bw", jsonNumberOrNull(t.coreAchievedBw));
-    o.emplace("core_bw_estimate", jsonNumberOrNull(t.coreBwEstimate));
-    o.emplace("predicted_rate", jsonNumberOrNull(t.predictedRate));
-    o.emplace("realized_rate", jsonNumberOrNull(t.realizedRate));
-    o.emplace("prediction_error", jsonNumberOrNull(t.predictionError));
-    o.emplace("slowdown", jsonNumberOrNull(t.slowdown));
-    threads.emplace_back(std::move(o));
+    s += first ? "{\"access_rate\":" : ",{\"access_rate\":";
+    first = false;
+    appendNumberOrNull(s, t.accessRate);
+    s += ",\"core\":";
+    util::appendJsonNumber(s, t.coreId);
+    s += ",\"core_achieved_bw\":";
+    appendNumberOrNull(s, t.coreAchievedBw);
+    s += ",\"core_bw_estimate\":";
+    appendNumberOrNull(s, t.coreBwEstimate);
+    s += ",\"high_bw_core\":";
+    s += t.highBandwidthCore < 0    ? "null"
+         : t.highBandwidthCore != 0 ? "true"
+                                    : "false";
+    s += ",\"llc_miss_ratio\":";
+    appendNumberOrNull(s, t.llcMissRatio);
+    s += ",\"predicted_rate\":";
+    appendNumberOrNull(s, t.predictedRate);
+    s += ",\"prediction_error\":";
+    appendNumberOrNull(s, t.predictionError);
+    s += ",\"process\":";
+    util::appendJsonNumber(s, t.processId);
+    s += ",\"realized_rate\":";
+    appendNumberOrNull(s, t.realizedRate);
+    s += ",\"slowdown\":";
+    appendNumberOrNull(s, t.slowdown);
+    s += ",\"thread\":";
+    util::appendJsonNumber(s, t.threadId);
+    s += '}';
   }
-  util::JsonObject doc;
-  doc.emplace("tick", static_cast<double>(record.tick));
-  doc.emplace("quantum", static_cast<double>(record.quantumIndex));
-  doc.emplace("scheduler", record.scheduler);
-  doc.emplace("unfairness", jsonNumberOrNull(record.unfairness));
-  doc.emplace("fairness_spread", jsonNumberOrNull(record.fairnessSpread));
-  doc.emplace("workload_class", record.workloadClass.empty()
-                                    ? util::JsonValue{nullptr}
-                                    : util::JsonValue{record.workloadClass});
-  doc.emplace("quanta_length_ms", record.quantaLengthMs);
-  doc.emplace("swap_size", record.swapSize);
-  doc.emplace("swaps_executed", static_cast<double>(record.swapsExecuted));
-  doc.emplace("migrations_executed",
-              static_cast<double>(record.migrationsExecuted));
-  doc.emplace("threads", std::move(threads));
-  *out_ << util::JsonValue{std::move(doc)}.dump() << '\n';
+  s += "],\"tick\":";
+  util::appendJsonNumber(s, static_cast<double>(record.tick));
+  s += ",\"unfairness\":";
+  appendNumberOrNull(s, record.unfairness);
+  s += ",\"workload_class\":";
+  if (record.workloadClass.empty())
+    s += "null";
+  else
+    util::appendJsonString(s, record.workloadClass);
+  s += "}\n";
+  out_->write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 QuantumStreamFile::QuantumStreamFile(const std::string& path)

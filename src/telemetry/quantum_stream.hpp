@@ -100,6 +100,8 @@ class QuantumStreamWriter {
   /// column): the stream emits one row per thread per quantum, so the
   /// string storage is recycled instead of reallocated each row.
   std::array<std::string, 10> fmt_;
+  /// Reusable NDJSON line buffer (one line per quantum).
+  std::string line_;
 };
 
 /// File-backed writer; format chosen from the path's extension. Throws

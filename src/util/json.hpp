@@ -99,6 +99,14 @@ class JsonParseError : public std::runtime_error {
 
 [[nodiscard]] JsonValue parseJson(std::string_view text);
 
+/// Append `d` exactly as JsonValue::dump prints a number: integral values
+/// below 1e15 as integers, anything else as printf's "%.17g".
+void appendJsonNumber(std::string& out, double d);
+
+/// Append `s` exactly as JsonValue::dump prints a string: quoted, with
+/// quotes, backslashes and control characters escaped.
+void appendJsonString(std::string& out, std::string_view s);
+
 /// Parse a JSON file; wraps I/O failures in std::runtime_error.
 [[nodiscard]] JsonValue parseJsonFile(const std::string& path);
 
